@@ -116,6 +116,18 @@ double BayesianNetwork::log_likelihood(const Dataset& data) const {
   return total;
 }
 
+double BayesianNetwork::row_log_likelihood(std::span<const double> row) const {
+  KERTBN_EXPECTS(is_complete());
+  KERTBN_EXPECTS(row.size() == size());
+  std::vector<double> parent_buf;
+  double total = 0.0;
+  for (std::size_t v = 0; v < size(); ++v) {
+    gather_parent_values(v, row, parent_buf);
+    total += cpds_[v]->log_prob(row[v], parent_buf);
+  }
+  return total;
+}
+
 double BayesianNetwork::node_log_likelihood(std::size_t v,
                                             const Dataset& data) const {
   KERTBN_EXPECTS(v < size());

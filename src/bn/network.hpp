@@ -59,6 +59,10 @@ class BayesianNetwork {
   /// must be the network variables in node-index order.
   double log_likelihood(const Dataset& data) const;
 
+  /// Natural-log likelihood of one row (the network variables in
+  /// node-index order), read in place.
+  double row_log_likelihood(std::span<const double> row) const;
+
   /// Contribution of a single node's family to log_likelihood().
   double node_log_likelihood(std::size_t v, const Dataset& data) const;
 

@@ -7,7 +7,7 @@
 
 namespace kertbn {
 namespace {
-
+__extension__ typedef unsigned __int128 u128;  // 128-bit GCC builtin
 std::uint64_t splitmix64(std::uint64_t& x) {
   x += 0x9e3779b97f4a7c15ULL;
   std::uint64_t z = x;
@@ -58,13 +58,13 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) {
   KERTBN_EXPECTS(n > 0);
   // Lemire's nearly-divisionless bounded generation with rejection.
   std::uint64_t x = (*this)();
-  unsigned __int128 m = static_cast<unsigned __int128>(x) * n;
+  u128 m = static_cast<u128>(x) * n;
   auto lo = static_cast<std::uint64_t>(m);
   if (lo < n) {
     const std::uint64_t threshold = (0 - n) % n;
     while (lo < threshold) {
       x = (*this)();
-      m = static_cast<unsigned __int128>(x) * n;
+      m = static_cast<u128>(x) * n;
       lo = static_cast<std::uint64_t>(m);
     }
   }

@@ -3,6 +3,7 @@
 #include <string>
 
 #include "common/contract.hpp"
+#include "common/indexed_name.hpp"
 
 namespace kertbn::fleet {
 
@@ -78,7 +79,7 @@ wf::Workflow TenantWorkload::make_workflow() const {
   names.reserve(config_.services);
   steps.reserve(config_.services);
   for (std::size_t s = 0; s < config_.services; ++s) {
-    names.push_back("s" + std::to_string(s));
+    names.push_back(indexed_name("s", s));
     steps.push_back(wf::Node::activity(s));
   }
   return wf::Workflow(std::move(names), wf::Node::sequence(std::move(steps)));

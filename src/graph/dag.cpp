@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/contract.hpp"
+#include "common/indexed_name.hpp"
 
 namespace kertbn::graph {
 
@@ -13,14 +14,14 @@ Dag::Dag(std::size_t n) {
   children_.resize(n);
   labels_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    labels_[i] = "v" + std::to_string(i);
+    labels_[i] = indexed_name("v", i);
   }
 }
 
 std::size_t Dag::add_node(std::string label) {
   parents_.emplace_back();
   children_.emplace_back();
-  if (label.empty()) label = "v" + std::to_string(labels_.size());
+  if (label.empty()) label = indexed_name("v", labels_.size());
   labels_.push_back(std::move(label));
   return labels_.size() - 1;
 }

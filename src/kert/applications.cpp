@@ -1,5 +1,6 @@
 #include "kert/applications.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "bn/intervention.hpp"
@@ -15,7 +16,9 @@ double DistributionSummary::exceedance(double threshold) const {
     for (std::size_t i = 0; i < support.size(); ++i) {
       if (support[i] > threshold) p += probs[i];
     }
-    return p;
+    // Rounding in the masses can carry the sum past 1 (by 2^-52 on a
+    // normalized posterior); a probability must not.
+    return std::clamp(p, 0.0, 1.0);
   }
   const double sd = std::max(stddev, 1e-9);
   return 1.0 - gaussian_cdf(threshold, mean, sd);

@@ -29,8 +29,8 @@ struct DistributionSummary {
   std::vector<double> support;
   std::vector<double> probs;
 
-  /// P(value > threshold). Discrete summaries sum bin masses; continuous
-  /// ones use the Gaussian tail of (mean, stddev).
+  /// P(value > threshold). Discrete summaries sum bin masses, clamped to
+  /// [0, 1]; continuous ones use the Gaussian tail of (mean, stddev).
   double exceedance(double threshold) const;
 };
 

@@ -134,12 +134,19 @@ bn::Dataset DatasetDiscretizer::discretize(const bn::Dataset& data) const {
   bn::Dataset out(data.column_names());
   std::vector<double> row(data.cols());
   for (std::size_t r = 0; r < data.rows(); ++r) {
-    for (std::size_t c = 0; c < data.cols(); ++c) {
-      row[c] = static_cast<double>(columns_[c].bin_of(data.value(r, c)));
-    }
+    discretize_row(data.row(r), row);
     out.add_row(row);
   }
   return out;
+}
+
+void DatasetDiscretizer::discretize_row(std::span<const double> row,
+                                        std::span<double> states) const {
+  KERTBN_EXPECTS(row.size() == columns_.size());
+  KERTBN_EXPECTS(states.size() == columns_.size());
+  for (std::size_t c = 0; c < row.size(); ++c) {
+    states[c] = static_cast<double>(columns_[c].bin_of(row[c]));
+  }
 }
 
 }  // namespace kertbn::core

@@ -71,6 +71,9 @@ class DatasetDiscretizer {
 
   /// Maps a continuous dataset (same schema) to state indices.
   bn::Dataset discretize(const bn::Dataset& data) const;
+  /// Maps one row (same schema) to state indices, written to \p states.
+  void discretize_row(std::span<const double> row,
+                      std::span<double> states) const;
 
  private:
   explicit DatasetDiscretizer(std::vector<ColumnDiscretizer> columns);

@@ -42,19 +42,44 @@ graph::Dag build_kert_structure(const wf::Workflow& workflow,
   return dag;
 }
 
-bn::DeterministicFn make_response_fn(const wf::Workflow& workflow) {
-  const wf::Expr::Ptr expr = workflow.response_time_expr();
-  const std::size_t n = workflow.service_count();
+namespace {
 
-  // D's parents are the service nodes 0..n-1 in node order, so the parent
-  // span is indexed exactly like the expression's service leaves.
+/// \p expr over the services as D's deterministic function. D's parents
+/// are the service nodes 0..n-1 in node order, so the parent span is
+/// indexed exactly like the expression's service leaves.
+bn::DeterministicFn deterministic_fn(const wf::Expr::Ptr& expr,
+                                     const wf::Workflow& workflow) {
   bn::DeterministicFn fn;
-  fn.arity = n;
+  fn.arity = workflow.service_count();
   fn.expression = expr->to_string(workflow.service_names());
   fn.fn = [expr](std::span<const double> parents) {
     return expr->evaluate(parents);
   };
   return fn;
+}
+
+/// Leak calibration for an arbitrary metric expression: residual scale of
+/// D - f(services) where services are the first \p n_services columns and
+/// D is the last column.
+double calibrate_leak_for_expr(const wf::Expr& expr, std::size_t n_services,
+                               const bn::Dataset& train) {
+  KERTBN_EXPECTS(train.rows() >= 1);
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (std::size_t r = 0; r < train.rows(); ++r) {
+    const auto row = train.row(r);
+    const double resid =
+        row[train.cols() - 1] - expr.evaluate(row.first(n_services));
+    sum += resid;
+    sum_sq += resid * resid;
+  }
+  return leak_sigma_from_residual_moments(sum, sum_sq, train.rows());
+}
+
+}  // namespace
+
+bn::DeterministicFn make_response_fn(const wf::Workflow& workflow) {
+  return deterministic_fn(workflow.response_time_expr(), workflow);
 }
 
 bn::TabularCpd make_deterministic_cpt(const wf::Workflow& workflow,
@@ -106,25 +131,6 @@ bn::TabularCpd make_deterministic_cpt(const wf::Workflow& workflow,
                         std::move(table));
 }
 
-double calibrate_leak_sigma(const wf::Workflow& workflow,
-                            const bn::Dataset& train, double min_sigma) {
-  const std::size_t n = workflow.service_count();
-  KERTBN_EXPECTS(train.cols() == n + 1);
-  KERTBN_EXPECTS(train.rows() >= 1);
-  const wf::Expr::Ptr expr = workflow.response_time_expr();
-  // Residual moments of D - f(X) over the window.
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (std::size_t r = 0; r < train.rows(); ++r) {
-    const auto row = train.row(r);
-    const double resid = row[n] - expr->evaluate(row.first(n));
-    sum += resid;
-    sum_sq += resid * resid;
-  }
-  return leak_sigma_from_residual_moments(sum, sum_sq, train.rows(),
-                                          min_sigma);
-}
-
 double leak_sigma_from_residual_moments(double sum, double sum_sq,
                                         std::size_t rows, double min_sigma) {
   KERTBN_EXPECTS(rows >= 1);
@@ -138,20 +144,21 @@ double leak_sigma_from_residual_moments(double sum, double sum_sq,
 
 namespace {
 
-/// Shared skeleton assembly: nodes, knowledge edges, and the D CPD.
-bn::BayesianNetwork assemble_skeleton(
-    const wf::Workflow& workflow, const wf::ResourceSharing& sharing,
-    const KertStructureOptions& opts, bool discrete, std::size_t bins,
-    std::unique_ptr<bn::Cpd> d_cpd) {
+/// Service variables, D, and the knowledge DAG's edges — no CPDs.
+bn::BayesianNetwork knowledge_net(const wf::Workflow& workflow,
+                                  const wf::ResourceSharing& sharing,
+                                  const KertStructureOptions& opts,
+                                  std::size_t bins) {
+  const auto variable = [bins](const std::string& name) {
+    return bins > 0 ? bn::Variable::discrete(name, bins)
+                    : bn::Variable::continuous(name);
+  };
   const std::size_t n = workflow.service_count();
   bn::BayesianNetwork net;
   for (std::size_t s = 0; s < n; ++s) {
-    const auto& name = workflow.service_names()[s];
-    net.add_node(discrete ? bn::Variable::discrete(name, bins)
-                          : bn::Variable::continuous(name));
+    net.add_node(variable(workflow.service_names()[s]));
   }
-  net.add_node(discrete ? bn::Variable::discrete("D", bins)
-                        : bn::Variable::continuous("D"));
+  net.add_node(variable("D"));
 
   const graph::Dag structure = build_kert_structure(workflow, sharing, opts);
   for (std::size_t v = 0; v < structure.size(); ++v) {
@@ -160,29 +167,62 @@ bn::BayesianNetwork assemble_skeleton(
       KERTBN_ASSERT(ok);
     }
   }
-  net.set_cpd(response_node(n), std::move(d_cpd));
+  return net;
+}
+
+/// A copy of the skeleton's knowledge net with D's CPD installed: the
+/// whole structure step of a construction over a cached skeleton.
+bn::BayesianNetwork instantiate(const KertSkeleton& skeleton,
+                                std::unique_ptr<bn::Cpd> d_cpd) {
+  bn::BayesianNetwork net = skeleton.net;
+  net.set_cpd(response_node(skeleton.service_count()), std::move(d_cpd));
   return net;
 }
 
 }  // namespace
 
+KertSkeleton make_kert_skeleton(const wf::Workflow& workflow,
+                                const wf::ResourceSharing& sharing,
+                                std::size_t bins,
+                                const KertStructureOptions& opts) {
+  KERTBN_EXPECTS(bins == 0 || bins >= 2);
+  KertSkeleton skeleton;
+  skeleton.bins = bins;
+  skeleton.net = knowledge_net(workflow, sharing, opts, bins);
+  skeleton.response_expr = workflow.response_time_expr();
+  skeleton.response_fn = deterministic_fn(skeleton.response_expr, workflow);
+  if (bins > 0) {
+    const std::size_t n = workflow.service_count();
+    skeleton.count_layouts.resize(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      const auto pars = skeleton.net.dag().parents(v);
+      CountLayout& layout = skeleton.count_layouts[v];
+      layout.child_col = v;
+      layout.parent_cols.assign(pars.begin(), pars.end());
+      layout.child_card = bins;
+      layout.parent_cards.assign(pars.size(), bins);
+    }
+  }
+  return skeleton;
+}
+
 bn::BayesianNetwork build_kert_skeleton_continuous(
     const wf::Workflow& workflow, const wf::ResourceSharing& sharing,
     double leak_sigma, const KertStructureOptions& opts) {
-  auto d_cpd = std::make_unique<bn::DeterministicCpd>(
-      make_response_fn(workflow), leak_sigma);
-  return assemble_skeleton(workflow, sharing, opts, /*discrete=*/false, 0,
-                           std::move(d_cpd));
+  const KertSkeleton skeleton = make_kert_skeleton(workflow, sharing, 0, opts);
+  return instantiate(skeleton, std::make_unique<bn::DeterministicCpd>(
+                                   skeleton.response_fn, leak_sigma));
 }
 
 bn::BayesianNetwork build_kert_skeleton_discrete(
     const wf::Workflow& workflow, const wf::ResourceSharing& sharing,
     const DatasetDiscretizer& discretizer, double leak_l,
     const KertStructureOptions& opts) {
-  auto d_cpd = std::make_unique<bn::TabularCpd>(
-      make_deterministic_cpt(workflow, discretizer, leak_l));
-  return assemble_skeleton(workflow, sharing, opts, /*discrete=*/true,
-                           discretizer.bins(), std::move(d_cpd));
+  const KertSkeleton skeleton =
+      make_kert_skeleton(workflow, sharing, discretizer.bins(), opts);
+  return instantiate(skeleton, std::make_unique<bn::TabularCpd>(
+                                   make_deterministic_cpt(
+                                       workflow, discretizer, leak_l)));
 }
 
 namespace {
@@ -225,7 +265,36 @@ KertResult finish_construction(bn::BayesianNetwork net,
   return result;
 }
 
+/// Charges a cold build's knowledge translation to its structure time.
+KertResult with_translation(KertResult result, double translate_seconds) {
+  result.report.structure_seconds += translate_seconds;
+  result.report.total_seconds += translate_seconds;
+  return result;
+}
+
 }  // namespace
+
+KertResult construct_kert_continuous(const KertSkeleton& skeleton,
+                                     const bn::Dataset& train,
+                                     LearningMode mode, double leak_sigma,
+                                     const bn::ParameterLearnOptions& learn,
+                                     ThreadPool* pool) {
+  KERTBN_EXPECTS(!skeleton.discrete());
+  const std::size_t n = skeleton.service_count();
+  KERTBN_EXPECTS(train.cols() == n + 1);
+  KERTBN_SPAN("kert.construct.continuous");
+  Stopwatch total;
+  Stopwatch structure;
+  if (leak_sigma <= 0.0) {
+    leak_sigma = calibrate_leak_for_expr(*skeleton.response_expr, n, train);
+  }
+  bn::BayesianNetwork net = instantiate(
+      skeleton, std::make_unique<bn::DeterministicCpd>(skeleton.response_fn,
+                                                       leak_sigma));
+  const double structure_seconds = structure.seconds();
+  return finish_construction(std::move(net), structure_seconds, train, mode,
+                             learn, pool, total);
+}
 
 KertResult construct_kert_continuous(const wf::Workflow& workflow,
                                      const wf::ResourceSharing& sharing,
@@ -233,45 +302,13 @@ KertResult construct_kert_continuous(const wf::Workflow& workflow,
                                      LearningMode mode, double leak_sigma,
                                      const bn::ParameterLearnOptions& learn,
                                      ThreadPool* pool) {
-  KERTBN_SPAN("kert.construct.continuous");
-  Stopwatch total;
-  Stopwatch structure;
-  if (leak_sigma <= 0.0) {
-    leak_sigma = calibrate_leak_sigma(workflow, train);
-  }
-  bn::BayesianNetwork net =
-      build_kert_skeleton_continuous(workflow, sharing, leak_sigma);
-  const double structure_seconds = structure.seconds();
-  return finish_construction(std::move(net), structure_seconds, train, mode,
-                             learn, pool, total);
+  Stopwatch translate;
+  const KertSkeleton skeleton = make_kert_skeleton(workflow, sharing);
+  const double translate_seconds = translate.seconds();
+  return with_translation(construct_kert_continuous(skeleton, train, mode,
+                                                    leak_sigma, learn, pool),
+                          translate_seconds);
 }
-
-namespace {
-
-/// Leak calibration for an arbitrary metric expression: residual scale of
-/// D - f(services) where services are the first \p n_services columns and
-/// D is the last column.
-double calibrate_leak_for_expr(const wf::Expr::Ptr& expr,
-                               std::size_t n_services,
-                               const bn::Dataset& train,
-                               double min_sigma = 1e-6) {
-  KERTBN_EXPECTS(train.rows() >= 1);
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (std::size_t r = 0; r < train.rows(); ++r) {
-    const auto row = train.row(r);
-    const double resid =
-        row[train.cols() - 1] - expr->evaluate(row.first(n_services));
-    sum += resid;
-    sum_sq += resid * resid;
-  }
-  const double mean = sum / static_cast<double>(train.rows());
-  const double var =
-      std::max(sum_sq / static_cast<double>(train.rows()) - mean * mean, 0.0);
-  return std::max(std::sqrt(var + mean * mean), min_sigma);
-}
-
-}  // namespace
 
 KertResult construct_kert_for_metric(const wf::Workflow& workflow,
                                      const wf::ResourceSharing& sharing,
@@ -286,30 +323,12 @@ KertResult construct_kert_for_metric(const wf::Workflow& workflow,
   Stopwatch total;
   Stopwatch structure;
   if (leak_sigma <= 0.0) {
-    leak_sigma = calibrate_leak_for_expr(metric_expr, n, train);
+    leak_sigma = calibrate_leak_for_expr(*metric_expr, n, train);
   }
-
-  bn::BayesianNetwork net;
-  for (std::size_t s = 0; s < n; ++s) {
-    net.add_node(bn::Variable::continuous(workflow.service_names()[s]));
-  }
-  net.add_node(bn::Variable::continuous("D"));
-  const graph::Dag dag = build_kert_structure(workflow, sharing);
-  for (std::size_t v = 0; v < dag.size(); ++v) {
-    for (std::size_t p : dag.parents(v)) {
-      const bool ok = net.add_edge(p, v);
-      KERTBN_ASSERT(ok);
-    }
-  }
-  bn::DeterministicFn fn;
-  fn.arity = n;
-  fn.expression = metric_expr->to_string(workflow.service_names());
-  fn.fn = [expr = metric_expr](std::span<const double> parents) {
-    return expr->evaluate(parents);
-  };
+  bn::BayesianNetwork net = knowledge_net(workflow, sharing, {}, 0);
   net.set_cpd(response_node(n),
-              std::make_unique<bn::DeterministicCpd>(std::move(fn),
-                                                     leak_sigma));
+              std::make_unique<bn::DeterministicCpd>(
+                  deterministic_fn(metric_expr, workflow), leak_sigma));
   const double structure_seconds = structure.seconds();
   return finish_construction(std::move(net), structure_seconds, train, mode,
                              learn, pool, total);
@@ -327,7 +346,7 @@ KertResult construct_kert_with_resources(
 
   const wf::Expr::Ptr expr = workflow.response_time_expr();
   if (leak_sigma <= 0.0) {
-    leak_sigma = calibrate_leak_for_expr(expr, n, train);
+    leak_sigma = calibrate_leak_for_expr(*expr, n, train);
   }
 
   bn::BayesianNetwork net;
@@ -360,14 +379,8 @@ KertResult construct_kert_with_resources(
 
   // D's parents are exactly the n service nodes (resource nodes have no
   // edge into D), so the deterministic function arity stays n.
-  bn::DeterministicFn fn;
-  fn.arity = n;
-  fn.expression = expr->to_string(workflow.service_names());
-  fn.fn = [expr](std::span<const double> parents) {
-    return expr->evaluate(parents);
-  };
-  net.set_cpd(d_node, std::make_unique<bn::DeterministicCpd>(std::move(fn),
-                                                             leak_sigma));
+  net.set_cpd(d_node, std::make_unique<bn::DeterministicCpd>(
+                          deterministic_fn(expr, workflow), leak_sigma));
   const double structure_seconds = structure.seconds();
   return finish_construction(std::move(net), structure_seconds, train, mode,
                              learn, pool, total);
@@ -413,23 +426,13 @@ void install_staged_fits(bn::BayesianNetwork& net,
   report.centralized_equivalent_seconds = sum;
 }
 
-}  // namespace
-
-KertResult construct_kert_continuous_from_stats(
-    const wf::Workflow& workflow, const wf::ResourceSharing& sharing,
-    const la::Matrix& gram, std::size_t rows, double leak_sigma,
-    const bn::ParameterLearnOptions& learn, ThreadPool* pool) {
-  const std::size_t n = workflow.service_count();
-  KERTBN_EXPECTS(rows >= 1);
-  KERTBN_EXPECTS(gram.rows() == n + 2 && gram.cols() == n + 2);
-  KERTBN_EXPECTS(leak_sigma > 0.0);
-  KERTBN_SPAN("kert.construct.from_stats");
-  Stopwatch total;
-  Stopwatch structure;
-  bn::BayesianNetwork net =
-      build_kert_skeleton_continuous(workflow, sharing, leak_sigma);
-  const double structure_seconds = structure.seconds();
-
+/// Fits every service node of \p net (D already carries its CPD) through
+/// \p fit_one and completes the construction report.
+template <typename FitFn>
+KertResult finish_staged_construction(bn::BayesianNetwork net,
+                                      double structure_seconds, FitFn fit_one,
+                                      const bn::ParameterLearnOptions& learn,
+                                      ThreadPool* pool, Stopwatch& total) {
   KertResult result{std::move(net), {}};
   result.report.structure_seconds = structure_seconds;
   Stopwatch params;
@@ -437,82 +440,86 @@ KertResult construct_kert_continuous_from_stats(
   for (std::size_t v = 0; v < result.net.size(); ++v) {
     if (!result.net.has_cpd(v)) nodes.push_back(v);
   }
-  const bn::BayesianNetwork& cnet = result.net;
-  auto fit_one = [&cnet, &gram, rows, &learn](std::size_t v) {
+  install_staged_fits(result.net, nodes, fit_one, pool, result.report);
+  result.report.parameter_seconds = params.seconds();
+  result.report.total_seconds = total.seconds();
+  KERTBN_ENSURES(learn_cancelled(learn) || result.net.is_complete());
+  return result;
+}
+
+}  // namespace
+
+KertResult construct_kert_continuous_from_stats(
+    const KertSkeleton& skeleton, const la::Matrix& gram, std::size_t rows,
+    double leak_sigma, const bn::ParameterLearnOptions& learn,
+    ThreadPool* pool) {
+  KERTBN_EXPECTS(!skeleton.discrete());
+  const std::size_t n = skeleton.service_count();
+  KERTBN_EXPECTS(rows >= 1);
+  KERTBN_EXPECTS(gram.rows() == n + 2 && gram.cols() == n + 2);
+  KERTBN_EXPECTS(leak_sigma > 0.0);
+  KERTBN_SPAN("kert.construct.from_stats");
+  Stopwatch total;
+  Stopwatch structure;
+  bn::BayesianNetwork net = instantiate(
+      skeleton, std::make_unique<bn::DeterministicCpd>(skeleton.response_fn,
+                                                       leak_sigma));
+  const double structure_seconds = structure.seconds();
+
+  const graph::Dag& dag = skeleton.net.dag();
+  auto fit_one = [&dag, &gram, rows, &learn](std::size_t v) {
     Stopwatch timer;
-    const auto pars = cnet.dag().parents(v);
+    const auto pars = dag.parents(v);
     const std::vector<std::size_t> parent_cols(pars.begin(), pars.end());
     auto cpd = std::make_unique<bn::LinearGaussianCpd>(
         bn::fit_linear_gaussian_from_moments(gram, rows, v, parent_cols,
                                              learn.min_sigma, learn.ridge));
     return StagedCpdFit{std::move(cpd), timer.seconds()};
   };
-  install_staged_fits(result.net, nodes, fit_one, pool, result.report);
-  result.report.parameter_seconds = params.seconds();
-  result.report.total_seconds = total.seconds();
-  KERTBN_ENSURES(learn_cancelled(learn) || result.net.is_complete());
-  return result;
-}
-
-std::vector<CountLayout> kert_discrete_count_layouts(
-    const wf::Workflow& workflow, const wf::ResourceSharing& sharing,
-    std::size_t bins, const KertStructureOptions& opts) {
-  KERTBN_EXPECTS(bins >= 2);
-  const std::size_t n = workflow.service_count();
-  const graph::Dag structure = build_kert_structure(workflow, sharing, opts);
-  std::vector<CountLayout> layouts(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    const auto pars = structure.parents(v);
-    layouts[v].child_col = v;
-    layouts[v].parent_cols.assign(pars.begin(), pars.end());
-    layouts[v].child_card = bins;
-    layouts[v].parent_cards.assign(pars.size(), bins);
-  }
-  return layouts;
+  return finish_staged_construction(std::move(net), structure_seconds, fit_one,
+                                    learn, pool, total);
 }
 
 KertResult construct_kert_discrete_from_counts(
-    const wf::Workflow& workflow, const wf::ResourceSharing& sharing,
-    const DatasetDiscretizer& discretizer,
-    std::span<const std::vector<double>> node_counts, double leak_l,
-    const bn::ParameterLearnOptions& learn, ThreadPool* pool,
-    const bn::TabularCpd* cached_d_cpt) {
-  const std::size_t n = workflow.service_count();
-  KERTBN_EXPECTS(discretizer.columns() == n + 1);
-  KERTBN_EXPECTS(node_counts.size() == n);
-  const std::size_t bins = discretizer.bins();
+    const KertSkeleton& skeleton, bn::TabularCpd d_cpt,
+    std::span<const std::vector<double>> node_counts,
+    const bn::ParameterLearnOptions& learn, ThreadPool* pool) {
+  KERTBN_EXPECTS(skeleton.discrete());
+  KERTBN_EXPECTS(node_counts.size() == skeleton.service_count());
   KERTBN_SPAN("kert.construct.from_counts");
   Stopwatch total;
   Stopwatch structure;
-  auto d_cpd = cached_d_cpt
-                   ? std::make_unique<bn::TabularCpd>(*cached_d_cpt)
-                   : std::make_unique<bn::TabularCpd>(make_deterministic_cpt(
-                         workflow, discretizer, leak_l));
-  bn::BayesianNetwork net = assemble_skeleton(
-      workflow, sharing, {}, /*discrete=*/true, bins, std::move(d_cpd));
+  bn::BayesianNetwork net = instantiate(
+      skeleton, std::make_unique<bn::TabularCpd>(std::move(d_cpt)));
   const double structure_seconds = structure.seconds();
 
-  KertResult result{std::move(net), {}};
-  result.report.structure_seconds = structure_seconds;
-  Stopwatch params;
-  std::vector<std::size_t> nodes;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (!result.net.has_cpd(v)) nodes.push_back(v);
-  }
-  const bn::BayesianNetwork& cnet = result.net;
-  auto fit_one = [&cnet, node_counts, bins, &learn](std::size_t v) {
+  const std::vector<CountLayout>& layouts = skeleton.count_layouts;
+  auto fit_one = [&layouts, node_counts, &learn](std::size_t v) {
     Stopwatch timer;
-    const std::vector<std::size_t> parent_cards(cnet.dag().parents(v).size(),
-                                                bins);
     auto cpd = std::make_unique<bn::TabularCpd>(bn::fit_tabular_cpd_from_counts(
-        node_counts[v], bins, parent_cards, learn.dirichlet_alpha));
+        node_counts[v], layouts[v].child_card, layouts[v].parent_cards,
+        learn.dirichlet_alpha));
     return StagedCpdFit{std::move(cpd), timer.seconds()};
   };
-  install_staged_fits(result.net, nodes, fit_one, pool, result.report);
-  result.report.parameter_seconds = params.seconds();
-  result.report.total_seconds = total.seconds();
-  KERTBN_ENSURES(learn_cancelled(learn) || result.net.is_complete());
-  return result;
+  return finish_staged_construction(std::move(net), structure_seconds, fit_one,
+                                    learn, pool, total);
+}
+
+KertResult construct_kert_discrete(const KertSkeleton& skeleton,
+                                   bn::TabularCpd d_cpt,
+                                   const bn::Dataset& train,
+                                   LearningMode mode,
+                                   const bn::ParameterLearnOptions& learn,
+                                   ThreadPool* pool) {
+  KERTBN_EXPECTS(skeleton.discrete());
+  KERTBN_SPAN("kert.construct.discrete");
+  Stopwatch total;
+  Stopwatch structure;
+  bn::BayesianNetwork net = instantiate(
+      skeleton, std::make_unique<bn::TabularCpd>(std::move(d_cpt)));
+  const double structure_seconds = structure.seconds();
+  return finish_construction(std::move(net), structure_seconds, train, mode,
+                             learn, pool, total);
 }
 
 KertResult construct_kert_discrete(const wf::Workflow& workflow,
@@ -522,14 +529,15 @@ KertResult construct_kert_discrete(const wf::Workflow& workflow,
                                    LearningMode mode, double leak_l,
                                    const bn::ParameterLearnOptions& learn,
                                    ThreadPool* pool) {
-  KERTBN_SPAN("kert.construct.discrete");
-  Stopwatch total;
-  Stopwatch structure;
-  bn::BayesianNetwork net =
-      build_kert_skeleton_discrete(workflow, sharing, discretizer, leak_l);
-  const double structure_seconds = structure.seconds();
-  return finish_construction(std::move(net), structure_seconds, train, mode,
-                             learn, pool, total);
+  Stopwatch translate;
+  const KertSkeleton skeleton =
+      make_kert_skeleton(workflow, sharing, discretizer.bins());
+  bn::TabularCpd d_cpt = make_deterministic_cpt(workflow, discretizer, leak_l);
+  const double translate_seconds = translate.seconds();
+  return with_translation(
+      construct_kert_discrete(skeleton, std::move(d_cpt), train, mode, learn,
+                              pool),
+      translate_seconds);
 }
 
 }  // namespace kertbn::core

@@ -44,19 +44,13 @@ graph::Dag build_kert_structure(const wf::Workflow& workflow,
 /// continuous CPD with the given leak noise (Equation 4 with l -> sigma).
 bn::DeterministicFn make_response_fn(const wf::Workflow& workflow);
 
-/// Calibrates the leak noise scale from training data: the standard
-/// deviation of the residual D - f(X) over the window (floored at
-/// \p min_sigma). One pass over the data — the deterministic function
-/// itself still comes from knowledge, only the measurement-noise scale of
-/// Equation 4 is read off the monitors.
-double calibrate_leak_sigma(const wf::Workflow& workflow,
-                            const bn::Dataset& train,
-                            double min_sigma = 1e-6);
-
-/// Same calibration fed from pre-accumulated residual moments (Σe, Σe²
-/// over \p rows residuals) instead of a data pass — the WindowStats route.
-/// Uses the identical formula as calibrate_leak_sigma, so results agree to
-/// floating-point reassociation error.
+/// Calibrates the leak noise scale from the residuals e = D - f(X) over a
+/// window, given as moments (Σe, Σe² over \p rows residuals): their root
+/// mean square, floored at \p min_sigma. The deterministic function
+/// itself still comes from knowledge; only the measurement-noise scale of
+/// Equation 4 is read off the monitors. A full-recount construction sums
+/// the moments in one pass over the window, the WindowStats route per
+/// segment, so the two agree to floating-point reassociation error.
 double leak_sigma_from_residual_moments(double sum, double sum_sq,
                                         std::size_t rows,
                                         double min_sigma = 1e-6);
@@ -72,6 +66,37 @@ bn::TabularCpd make_deterministic_cpt(const wf::Workflow& workflow,
                                       const DatasetDiscretizer& discretizer,
                                       double leak_l,
                                       std::size_t samples_per_config = 64);
+
+/// The knowledge half of a KERT-BN (Section 3.2, Eqs. 1-2): everything a
+/// construction needs from the workflow and the resource sharing, and
+/// nothing from the data window. Translating it is the expensive part of
+/// the structure step (reducing f(X), formatting it, a cycle check per
+/// edge); a rebuild that reuses a skeleton only copies it and fits the
+/// CPDs, so ModelManager translates once per workflow version.
+struct KertSkeleton {
+  /// Service nodes 0..n-1 and D over the knowledge DAG; no CPDs.
+  bn::BayesianNetwork net;
+  /// f(X), reduced from the workflow's composition tree.
+  wf::Expr::Ptr response_expr;
+  /// f(X) packaged for D's DeterministicCpd (continuous mode).
+  bn::DeterministicFn response_fn;
+  /// Discrete skeletons: the count-table layout of every service node over
+  /// its knowledge parents, all cardinalities `bins` (the input of
+  /// WindowStats::counts). Empty for continuous skeletons.
+  std::vector<CountLayout> count_layouts;
+  std::size_t bins = 0;  ///< 0 = continuous variables.
+
+  std::size_t service_count() const { return net.size() - 1; }
+  bool discrete() const { return bins > 0; }
+};
+
+/// Translates the workflow and resource-sharing knowledge into a skeleton
+/// with continuous variables (\p bins == 0) or discrete ones with \p bins
+/// states each.
+KertSkeleton make_kert_skeleton(const wf::Workflow& workflow,
+                                const wf::ResourceSharing& sharing,
+                                std::size_t bins = 0,
+                                const KertStructureOptions& opts = {});
 
 /// Continuous KERT-BN skeleton: X nodes continuous, D carries the
 /// deterministic CPD, service CPDs left to the learner.
@@ -114,12 +139,28 @@ KertResult construct_kert_continuous(
     double leak_sigma = 0.0, const bn::ParameterLearnOptions& learn = {},
     ThreadPool* pool = nullptr);
 
+/// Same construction over an already-translated continuous skeleton: the
+/// structure step is a copy of \p skeleton. Bit-identical to the
+/// workflow overload.
+KertResult construct_kert_continuous(
+    const KertSkeleton& skeleton, const bn::Dataset& train,
+    LearningMode mode = LearningMode::kCentralized, double leak_sigma = 0.0,
+    const bn::ParameterLearnOptions& learn = {}, ThreadPool* pool = nullptr);
+
 /// End-to-end construction of a discrete KERT-BN. \p train must already be
 /// discretized with \p discretizer.
 KertResult construct_kert_discrete(
     const wf::Workflow& workflow, const wf::ResourceSharing& sharing,
     const DatasetDiscretizer& discretizer, const bn::Dataset& train,
     LearningMode mode = LearningMode::kCentralized, double leak_l = 0.02,
+    const bn::ParameterLearnOptions& learn = {}, ThreadPool* pool = nullptr);
+
+/// Same construction over an already-translated discrete skeleton, with
+/// D's CPT given (make_deterministic_cpt under the discretizer \p train
+/// was binned with). Bit-identical to the workflow overload.
+KertResult construct_kert_discrete(
+    const KertSkeleton& skeleton, bn::TabularCpd d_cpt,
+    const bn::Dataset& train, LearningMode mode = LearningMode::kCentralized,
     const bn::ParameterLearnOptions& learn = {}, ThreadPool* pool = nullptr);
 
 /// Continuous KERT-BN from cached window statistics: \p gram is the
@@ -130,32 +171,19 @@ KertResult construct_kert_discrete(
 /// full-recount path uses — without touching a single raw row; with a
 /// pool the per-node solves run concurrently.
 KertResult construct_kert_continuous_from_stats(
-    const wf::Workflow& workflow, const wf::ResourceSharing& sharing,
-    const la::Matrix& gram, std::size_t rows, double leak_sigma,
-    const bn::ParameterLearnOptions& learn = {}, ThreadPool* pool = nullptr);
-
-/// Count-table layouts for every learnable (service) node of the discrete
-/// KERT-BN over the knowledge structure: layouts[v] describes node v with
-/// its knowledge-given parents, all cardinalities \p bins. Feed these to
-/// WindowStats::counts and the resulting tables to
-/// construct_kert_discrete_from_counts.
-std::vector<CountLayout> kert_discrete_count_layouts(
-    const wf::Workflow& workflow, const wf::ResourceSharing& sharing,
-    std::size_t bins, const KertStructureOptions& opts = {});
+    const KertSkeleton& skeleton, const la::Matrix& gram, std::size_t rows,
+    double leak_sigma, const bn::ParameterLearnOptions& learn = {},
+    ThreadPool* pool = nullptr);
 
 /// Discrete KERT-BN from cached per-node count tables (one per service
-/// node, laid out per kert_discrete_count_layouts). Counts are exact, so
-/// the CPTs are bit-identical to a full recount under the same
-/// discretizer. \p cached_d_cpt optionally reuses a previously
-/// materialized deterministic response CPT (valid as long as the
-/// discretizer's edges are unchanged) — skipping the bins^n integration
-/// that dominates discrete construction time.
+/// node, laid out per skeleton.count_layouts). Counts are exact, so the
+/// CPTs are bit-identical to a full recount under the same discretizer.
+/// \p d_cpt is D's materialized CPT — callers cache it per discretizer,
+/// skipping the bins^n integration that dominates discrete construction.
 KertResult construct_kert_discrete_from_counts(
-    const wf::Workflow& workflow, const wf::ResourceSharing& sharing,
-    const DatasetDiscretizer& discretizer,
-    std::span<const std::vector<double>> node_counts, double leak_l = 0.02,
-    const bn::ParameterLearnOptions& learn = {}, ThreadPool* pool = nullptr,
-    const bn::TabularCpd* cached_d_cpt = nullptr);
+    const KertSkeleton& skeleton, bn::TabularCpd d_cpt,
+    std::span<const std::vector<double>> node_counts,
+    const bn::ParameterLearnOptions& learn = {}, ThreadPool* pool = nullptr);
 
 /// Continuous KERT-BN for an arbitrary transaction metric (Section 3.3:
 /// "the CPD format given by Equation 4 ... also applies to other

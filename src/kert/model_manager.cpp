@@ -102,13 +102,13 @@ std::optional<Reconstruction> ModelManager::maybe_reconstruct(
     if (config_.guard && last_missed_due_ != next_due_) {
       last_missed_due_ = next_due_;
       if (obs::enabled()) HealthMetrics::get().missed_deadlines.add(1);
-      if (model_.has_value()) {
+      if (has_model()) {
         set_health(now, ModelHealth::kStale, "empty window at deadline");
       }
     }
     return std::nullopt;
   }
-  if (config_.guard && model_.has_value() && window_unchanged(window)) {
+  if (config_.guard && has_model() && window_unchanged(window)) {
     // No data arrived since the last build — rebuilding would reproduce
     // the same model from the same rows. Skip the work, surface staleness.
     ++stale_skips_;
@@ -128,7 +128,7 @@ std::optional<Reconstruction> ModelManager::maybe_reconstruct(
       !config_.governor->admit(ov::WorkClass::kReconstruction, now)) {
     ++deferred_reconstructions_;
     if (obs::enabled()) HealthMetrics::get().deferred.add(1);
-    if (model_.has_value()) {
+    if (has_model()) {
       set_health(now, ModelHealth::kStale,
                  "reconstruction deferred under overload");
     }
@@ -162,7 +162,9 @@ void ModelManager::update_workflow(wf::Workflow workflow) {
   KERTBN_EXPECTS(workflow.service_count() == workflow_.service_count() &&
                  "drifted workflow must keep the same service set");
   workflow_ = std::move(workflow);
-  // The D-CPT integrates the old f(X): rebuild it at the next deadline.
+  // The skeleton holds the old f(X) and knowledge DAG, and the D-CPT
+  // integrates the old f(X): re-derive both at the next deadline.
+  skeleton_.reset();
   d_cpt_cache_.reset();
   ++discretizer_version_;
   // Incremental residual partials captured the old expression; a fresh
@@ -175,7 +177,14 @@ void ModelManager::update_workflow(wf::Workflow workflow) {
   last_build_window_.clear();
 }
 
-WindowStats ModelManager::make_stats() const {
+const KertSkeleton& ModelManager::skeleton() {
+  if (!skeleton_) {
+    skeleton_ = make_kert_skeleton(workflow_, sharing_, config_.bins);
+  }
+  return *skeleton_;
+}
+
+WindowStats ModelManager::make_stats() {
   WindowStats::Config cfg;
   const std::size_t n = workflow_.service_count();
   cfg.cols = n + 1;
@@ -184,7 +193,7 @@ WindowStats ModelManager::make_stats() const {
   if (config_.bins == 0) {
     // Leak-residual moments per segment drive the incremental-path leak
     // calibration (continuous mode only).
-    cfg.residual = [expr = workflow_.response_time_expr(),
+    cfg.residual = [expr = skeleton().response_expr,
                     n](std::span<const double> row) {
       return row[n] - expr->evaluate(row.first(n));
     };
@@ -210,6 +219,11 @@ bool ModelManager::range_exceeded() const {
 
 Reconstruction ModelManager::reconstruct(double now,
                                          const bn::Dataset& window) {
+  return commit(now, window, build(now, window));
+}
+
+ModelManager::Candidate ModelManager::build(double now,
+                                            const bn::Dataset& window) {
   KERTBN_EXPECTS(window.rows() > 0);
   KERTBN_EXPECTS(window.cols() == workflow_.service_count() + 1);
   KERTBN_SPAN_VAR(span, "kert.reconstruct");
@@ -225,18 +239,13 @@ Reconstruction ModelManager::reconstruct(double now,
       (config_.bins == 0 ||
        (discretizer_.has_value() && !range_exceeded()));
 
-  Reconstruction rec = incremental_hit ? reconstruct_incremental(window, pool)
-                                       : reconstruct_full(window, pool);
-  ++version_;
+  Candidate candidate = incremental_hit ? build_incremental(window, pool)
+                                        : build_full(window, pool);
+  Reconstruction& rec = candidate.rec;
   rec.at = now;
-  rec.version = version_;
+  rec.version = version_ + 1;
   rec.window_rows = window.rows();
   rows_since_reconstruct_ = 0;
-  history_.push_back(rec);
-
-  set_health(now, ModelHealth::kFresh, "reconstructed");
-  remember_window(window);
-  if (!publish_suspended_) publish_current(now);
 
   span.tag("at", now);
   span.tag("version", static_cast<std::uint64_t>(rec.version));
@@ -244,7 +253,6 @@ Reconstruction ModelManager::reconstruct(double now,
   span.tag("rows_touched", static_cast<std::uint64_t>(rec.rows_touched));
   span.tag("incremental", rec.incremental);
   span.tag("discretizer_refit", rec.discretizer_refit);
-  span.tag("health", to_string(health_));
   if (obs::enabled()) {
     ReconstructMetrics& m = ReconstructMetrics::get();
     m.count.add(1);
@@ -252,13 +260,13 @@ Reconstruction ModelManager::reconstruct(double now,
     if (rec.discretizer_refit) m.discretizer_refits.add(1);
     m.rows_touched.add(rec.rows_touched);
   }
-  return rec;
+  return candidate;
 }
 
-Reconstruction ModelManager::reconstruct_full(const bn::Dataset& window,
-                                              ThreadPool* pool) {
-  Reconstruction rec;
-  rec.rows_touched = window.rows();
+ModelManager::Candidate ModelManager::build_full(const bn::Dataset& window,
+                                                 ThreadPool* pool) {
+  Candidate candidate;
+  candidate.rec.rows_touched = window.rows();
 
   // Reseed the statistics layer from the window so the next
   // reconstruction can go incremental again.
@@ -269,36 +277,37 @@ Reconstruction ModelManager::reconstruct_full(const bn::Dataset& window,
     }
   }
 
+  const KertSkeleton& skel = skeleton();
   KertResult result = [&] {
     if (config_.bins == 0) {
-      discretizer_.reset();
-      return construct_kert_continuous(workflow_, sharing_, window,
-                                       config_.learning, config_.leak_sigma,
-                                       config_.learn, pool);
+      return construct_kert_continuous(skel, window, config_.learning,
+                                       config_.leak_sigma, config_.learn,
+                                       pool);
     }
-    discretizer_.emplace(window, config_.bins);
-    ++discretizer_version_;
-    d_cpt_cache_.reset();
-    rec.discretizer_refit = true;
-    const bn::Dataset discrete = discretizer_->discretize(window);
-    return construct_kert_discrete(workflow_, sharing_, *discretizer_,
-                                   discrete, config_.learning,
-                                   config_.leak_l, config_.learn, pool);
+    const DatasetDiscretizer& disc =
+        candidate.discretizer.emplace(window, config_.bins);
+    candidate.rec.discretizer_refit = true;
+    // New bin edges: D's CPT is materialized once here and cached at
+    // commit for the incremental rebuilds that follow.
+    const bn::TabularCpd& d_cpt = candidate.d_cpt.emplace(
+        make_deterministic_cpt(workflow_, disc, config_.leak_l));
+    return construct_kert_discrete(skel, d_cpt, disc.discretize(window),
+                                   config_.learning, config_.learn, pool);
   }();
 
-  model_ = std::move(result.net);
-  rec.report = result.report;
-  return rec;
+  candidate.net = std::move(result.net);
+  candidate.rec.report = std::move(result.report);
+  return candidate;
 }
 
-Reconstruction ModelManager::reconstruct_incremental(
+ModelManager::Candidate ModelManager::build_incremental(
     const bn::Dataset& window, ThreadPool* pool) {
-  Reconstruction rec;
-  rec.incremental = true;
+  Candidate candidate;
+  candidate.rec.incremental = true;
 
+  const KertSkeleton& skel = skeleton();
   KertResult result = [&] {
     if (config_.bins == 0) {
-      discretizer_.reset();
       const WindowStats::ResidualMoments rm = stats_->combined_residuals();
       const double sigma =
           config_.leak_sigma > 0.0
@@ -306,10 +315,11 @@ Reconstruction ModelManager::reconstruct_incremental(
               : leak_sigma_from_residual_moments(rm.sum, rm.sum_sq, rm.rows);
       // The sealed segments were scanned once, at seal time; only the rows
       // that arrived since the previous rebuild are new work.
-      rec.rows_touched = std::min(rows_since_reconstruct_, window.rows());
+      candidate.rec.rows_touched =
+          std::min(rows_since_reconstruct_, window.rows());
       return construct_kert_continuous_from_stats(
-          workflow_, sharing_, stats_->combined_gram(), window.rows(), sigma,
-          config_.learn, pool);
+          skel, stats_->combined_gram(), window.rows(), sigma, config_.learn,
+          pool);
     }
     // Discretizer unchanged: the deterministic response CPT is a pure
     // function of its edges, so materialize it once and reuse.
@@ -317,78 +327,72 @@ Reconstruction ModelManager::reconstruct_incremental(
       d_cpt_cache_ =
           make_deterministic_cpt(workflow_, *discretizer_, config_.leak_l);
     }
-    const std::vector<CountLayout> layouts =
-        kert_discrete_count_layouts(workflow_, sharing_, config_.bins);
-    WindowStats::CountResult counts =
-        stats_->counts(layouts, *discretizer_, discretizer_version_);
-    rec.rows_touched = counts.rows_scanned;
+    WindowStats::CountResult counts = stats_->counts(
+        skel.count_layouts, *discretizer_, discretizer_version_);
+    candidate.rec.rows_touched = counts.rows_scanned;
     return construct_kert_discrete_from_counts(
-        workflow_, sharing_, *discretizer_, counts.node_counts,
-        config_.leak_l, config_.learn, pool, &*d_cpt_cache_);
+        skel, *d_cpt_cache_, counts.node_counts, config_.learn, pool);
   }();
 
-  model_ = std::move(result.net);
-  rec.report = result.report;
-  return rec;
+  candidate.net = std::move(result.net);
+  candidate.rec.report = std::move(result.report);
+  return candidate;
+}
+
+Reconstruction ModelManager::commit(double now, const bn::Dataset& window,
+                                    Candidate candidate) {
+  model_ = std::make_shared<const bn::BayesianNetwork>(
+      std::move(candidate.net));
+  if (candidate.discretizer) {
+    discretizer_ = std::move(candidate.discretizer);
+    d_cpt_cache_ = std::move(candidate.d_cpt);
+    ++discretizer_version_;
+  }
+  version_ = candidate.rec.version;
+  ++reconstructions_;
+  history_.push_back(candidate.rec);
+  if (history_.size() > kLogCapacity) history_.pop_front();
+
+  set_health(now, ModelHealth::kFresh, "reconstructed");
+  remember_window(window);
+  publish_current(now);
+  return std::move(candidate.rec);
 }
 
 std::optional<Reconstruction> ModelManager::try_reconstruct(
     double now, const bn::Dataset& window) {
+  // The codebase is contract-based (no exceptions), so only failures the
+  // fit reports by value — a built model with non-finite output — are
+  // recoverable here; everything the fit would abort on must be ruled out
+  // by validate_window first.
   if (const char* reason = validate_window(window)) {
     note_failure(now, reason);
     return std::nullopt;
   }
 
-  // Stash the last-known-good serving state. The codebase is contract-based
-  // (no exceptions), so only failures the fit reports by value — a built
-  // model with non-finite output — are recoverable here; everything the
-  // fit would abort on must be ruled out by validate_window above.
-  std::optional<bn::BayesianNetwork> saved_model = model_;
-  std::optional<DatasetDiscretizer> saved_discretizer = discretizer_;
-  std::optional<bn::TabularCpd> saved_d_cpt = d_cpt_cache_;
-  const std::size_t saved_version = version_;
-  const std::size_t saved_discretizer_version = discretizer_version_;
-  const ModelHealth saved_health = health_;
-  const std::size_t saved_transitions = health_history_.size();
-  const std::size_t saved_build_rows = last_build_rows_;
-  std::vector<double> saved_build_window = last_build_window_;
-
-  // Publication is deferred past post-validation: a query reader must
-  // never acquire a snapshot of a model that is about to be rolled back.
-  publish_suspended_ = true;
-  Reconstruction rec = reconstruct(now, window);
-  publish_suspended_ = false;
+  // Build, probe, commit: the candidate serves — and is published — only
+  // once it passed, so a query reader never acquires a model that is about
+  // to be rolled back, and a failure leaves nothing to restore.
+  Candidate candidate = build(now, window);
   // Cancellation is checked before the finite-output probe: an aborted
   // learn leaves the network partially refit (possibly with nodes missing
   // CPDs), which must never be probed, published, or served.
   const bool aborted = config_.cancel != nullptr &&
                        config_.cancel->load(std::memory_order_relaxed);
-  if (!aborted && model_output_finite(window)) {
-    publish_current(now);
-    return rec;
+  if (!aborted && output_finite(candidate, window)) {
+    return commit(now, window, std::move(candidate));
   }
 
   // Either the build was aborted under overload, or the fit went through
   // but produced a model that cannot serve (NaN CPD parameters from a
-  // degenerate window). Restore the last-known-good state: the bad build
-  // never happened, except in the ledger.
-  model_ = std::move(saved_model);
-  discretizer_ = std::move(saved_discretizer);
-  d_cpt_cache_ = std::move(saved_d_cpt);
-  version_ = saved_version;
-  discretizer_version_ = saved_discretizer_version;
-  history_.pop_back();
-  health_ = saved_health;
-  health_history_.resize(saved_transitions);
-  last_build_rows_ = saved_build_rows;
-  last_build_window_ = std::move(saved_build_window);
-  // The incremental statistics may have been reseeded from the bad window;
-  // drop them so the next rebuild recounts from scratch.
+  // degenerate window). The candidate is dropped; the incremental
+  // statistics may have been reseeded from the bad window, so drop them
+  // too and let the next rebuild recount from scratch.
   stats_.reset();
   if (aborted) {
     ++aborted_reconstructions_;
     if (obs::enabled()) HealthMetrics::get().aborted.add(1);
-    if (model_.has_value()) {
+    if (has_model()) {
       // An abort is a scheduling decision, not a model failure: the
       // last-known-good model serves, merely stale — never fallback or
       // degraded.
@@ -418,24 +422,26 @@ const char* ModelManager::validate_window(const bn::Dataset& window) const {
   return nullptr;
 }
 
-bool ModelManager::model_output_finite(const bn::Dataset& window) const {
-  if (!model_.has_value()) return false;
+bool ModelManager::output_finite(const Candidate& candidate,
+                                 const bn::Dataset& window) const {
   // Probe with the window's most recent row: every CPD parameter on the
   // row's path enters the density, so NaN/Inf parameters surface as a
   // non-finite log-likelihood. (Smoothing and leak terms keep legitimate
   // likelihoods finite.)
-  bn::Dataset probe(window.column_names());
-  probe.add_row(window.row(window.rows() - 1));
-  if (discretizer_.has_value()) {
-    const bn::Dataset discrete = discretizer_->discretize(probe);
-    return std::isfinite(model_->log_likelihood(discrete));
-  }
-  return std::isfinite(model_->log_likelihood(probe));
+  const auto row = window.row(window.rows() - 1);
+  const std::optional<DatasetDiscretizer>& disc =
+      candidate.discretizer ? candidate.discretizer : discretizer_;
+  if (!disc) return std::isfinite(candidate.net.row_log_likelihood(row));
+  std::vector<double> states(row.size());
+  disc->discretize_row(row, states);
+  return std::isfinite(candidate.net.row_log_likelihood(states));
 }
 
 void ModelManager::set_health(double now, ModelHealth to, const char* reason) {
   if (health_ == to) return;
   health_history_.push_back(HealthTransition{now, health_, to, reason});
+  if (health_history_.size() > kLogCapacity) health_history_.pop_front();
+  ++health_transitions_;
   health_ = to;
   if (obs::enabled()) {
     HealthMetrics& m = HealthMetrics::get();
@@ -448,9 +454,7 @@ void ModelManager::note_failure(double now, const char* reason) {
   ++failed_reconstructions_;
   last_failure_reason_ = reason;
   if (obs::enabled()) HealthMetrics::get().failures.add(1);
-  set_health(now,
-             model_.has_value() ? ModelHealth::kFallback
-                                : ModelHealth::kDegraded,
+  set_health(now, has_model() ? ModelHealth::kFallback : ModelHealth::kDegraded,
              reason);
 }
 
@@ -473,9 +477,9 @@ void ModelManager::note_drift(double now, const std::string& reason) {
 
 void ModelManager::publish_current(double now) {
   if (!config_.publish_snapshots) return;
-  KERTBN_ASSERT(model_.has_value());
+  KERTBN_ASSERT(has_model());
   snapshot_slot_->publish(
-      make_model_snapshot(version_, now, *model_, discretizer_));
+      make_model_snapshot(version_, now, model_, discretizer_));
   if (obs::enabled()) {
     static obs::Counter& published =
         obs::MetricsRegistry::instance().counter(
@@ -509,12 +513,12 @@ bool ModelManager::window_unchanged(const bn::Dataset& window) const {
 }
 
 const bn::BayesianNetwork& ModelManager::model() const {
-  KERTBN_EXPECTS(model_.has_value());
+  KERTBN_EXPECTS(has_model());
   return *model_;
 }
 
 std::string ModelManager::export_model_text() const {
-  if (!model_.has_value()) return {};
+  if (!has_model()) return {};
   std::ostringstream out;
   if (discretizer_.has_value()) {
     save_kert_discrete(out, workflow_, sharing_, *discretizer_,
@@ -560,7 +564,7 @@ bool ModelManager::restore_from_checkpoint(const ManagerCheckpoint& ckpt,
     note_failure(now, "checkpointed model rejected on restore");
     return false;
   }
-  model_ = std::move(loaded->net);
+  model_ = std::make_shared<const bn::BayesianNetwork>(std::move(loaded->net));
   discretizer_ = std::move(loaded->discretizer);
   set_health(now, ModelHealth::kStale, "recovered from checkpoint");
   publish_current(now);

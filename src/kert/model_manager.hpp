@@ -8,6 +8,7 @@
 /// appropriate").
 
 #include <atomic>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -161,10 +162,11 @@ class ModelManager {
 
   /// Replaces the workflow knowledge (same service count required) when
   /// choice probabilities or structure drift. Every cache derived from the
-  /// old knowledge is invalidated — the deterministic response CPT, the
-  /// incremental residual statistics (their residual fn captured the old
-  /// f(X)), and the unchanged-window memory — so the next deadline rebuilds
-  /// with the new knowledge even if the data window has not changed.
+  /// old knowledge is invalidated — the knowledge skeleton (f(X) and the
+  /// DAG), the deterministic response CPT, the incremental residual
+  /// statistics (their residual fn captured the old f(X)), and the
+  /// unchanged-window memory — so the next deadline rebuilds with the new
+  /// knowledge even if the data window has not changed.
   void update_workflow(wf::Workflow workflow);
 
   const wf::Workflow& workflow() const { return workflow_; }
@@ -173,7 +175,9 @@ class ModelManager {
   /// and at least one row was observed or a reconstruction reseeded it).
   const std::optional<WindowStats>& window_stats() const { return stats_; }
 
-  bool has_model() const { return model_.has_value(); }
+  bool has_model() const { return model_ != nullptr; }
+  /// The serving model. Published snapshots share this very object; a
+  /// rebuild replaces it, never mutates it.
   const bn::BayesianNetwork& model() const;
   /// Discretizer used by the current discrete model (empty in continuous
   /// mode).
@@ -181,7 +185,17 @@ class ModelManager {
     return discretizer_;
   }
   std::size_t version() const { return version_; }
-  const std::vector<Reconstruction>& history() const { return history_; }
+
+  /// The per-manager logs keep this many most recent entries each, so a
+  /// long-running manager's memory stays flat; the lifetime totals below
+  /// keep counting.
+  static constexpr std::size_t kLogCapacity = 256;
+
+  /// The most recent (up to kLogCapacity) completed reconstructions, oldest
+  /// first.
+  const std::deque<Reconstruction>& history() const { return history_; }
+  /// Reconstructions completed over the manager's lifetime.
+  std::size_t reconstructions() const { return reconstructions_; }
 
   /// Snapshot exchange for concurrent query serving (populated only with
   /// config().publish_snapshots). Readers acquire() while reconstructions
@@ -190,10 +204,12 @@ class ModelManager {
 
   /// Current serving status (see ModelHealth).
   ModelHealth health() const { return health_; }
-  /// Every health-state change so far, in order.
-  const std::vector<HealthTransition>& health_history() const {
+  /// The most recent (up to kLogCapacity) health-state changes, in order.
+  const std::deque<HealthTransition>& health_history() const {
     return health_history_;
   }
+  /// Health-state changes over the manager's lifetime.
+  std::size_t health_transitions() const { return health_transitions_; }
   /// Guarded rebuild attempts that failed (window rejected or model
   /// invalid); each left the previous model serving.
   std::size_t failed_reconstructions() const {
@@ -246,27 +262,47 @@ class ModelManager {
   bool restore_from_checkpoint(const ManagerCheckpoint& ckpt, double now);
 
  private:
+  /// A rebuilt model that serves nothing yet: reconstruct() commits it
+  /// straight away, the guarded path probes it first and drops it on
+  /// failure — the serving state is never touched before commit.
+  struct Candidate {
+    Reconstruction rec;
+    bn::BayesianNetwork net;
+    /// Discrete full recounts: the refit discretizer and D's CPT under it.
+    /// Empty when the build reused the serving discretizer.
+    std::optional<DatasetDiscretizer> discretizer;
+    std::optional<bn::TabularCpd> d_cpt;
+  };
+
+  /// The knowledge skeleton of the current workflow, translated on first
+  /// use after construction or update_workflow.
+  const KertSkeleton& skeleton();
   /// Fresh WindowStats sized from the schedule (residual fn attached in
   /// continuous mode for leak calibration).
-  WindowStats make_stats() const;
+  WindowStats make_stats();
   /// Discrete mode: true when the retained data strays outside the current
   /// discretizer's fitted range (stretched by the configured tolerance).
   bool range_exceeded() const;
 
-  Reconstruction reconstruct_full(const bn::Dataset& window,
-                                  ThreadPool* pool);
-  Reconstruction reconstruct_incremental(const bn::Dataset& window,
-                                         ThreadPool* pool);
+  /// Builds a candidate from \p window (incremental when the cached
+  /// statistics cover it, a full recount otherwise).
+  Candidate build(double now, const bn::Dataset& window);
+  Candidate build_full(const bn::Dataset& window, ThreadPool* pool);
+  Candidate build_incremental(const bn::Dataset& window, ThreadPool* pool);
+  /// Moves \p candidate into serving and publishes it (when configured).
+  Reconstruction commit(double now, const bn::Dataset& window,
+                        Candidate candidate);
 
-  /// Guarded rebuild: pre-validates the window, stashes the last-known-good
-  /// model, rebuilds, post-validates, and restores on failure.
+  /// Guarded rebuild: validates the window, builds a candidate, probes it,
+  /// and commits it only when it is finite and was not cancelled.
   std::optional<Reconstruction> try_reconstruct(double now,
                                                 const bn::Dataset& window);
   /// Reason the window is unusable for a rebuild, or nullptr when fine.
   const char* validate_window(const bn::Dataset& window) const;
-  /// True when the freshly built model yields finite output on the last
-  /// window row (non-finite CPD parameters surface here).
-  bool model_output_finite(const bn::Dataset& window) const;
+  /// True when \p candidate yields finite output on the last window row
+  /// (non-finite CPD parameters surface here).
+  bool output_finite(const Candidate& candidate,
+                     const bn::Dataset& window) const;
   void set_health(double now, ModelHealth to, const char* reason);
   void note_failure(double now, const char* reason);
   /// Publishes the current model as a snapshot (no-op unless configured).
@@ -281,9 +317,12 @@ class ModelManager {
   Config config_;
   double next_due_;
   std::size_t version_ = 0;
-  std::optional<bn::BayesianNetwork> model_;
+  std::shared_ptr<const bn::BayesianNetwork> model_;
   std::optional<DatasetDiscretizer> discretizer_;
-  std::vector<Reconstruction> history_;
+  std::deque<Reconstruction> history_;
+  std::size_t reconstructions_ = 0;
+  /// Knowledge translated once per workflow version (see skeleton()).
+  std::optional<KertSkeleton> skeleton_;
   // Incremental-mode state.
   std::optional<WindowStats> stats_;
   std::size_t rows_since_reconstruct_ = 0;
@@ -293,7 +332,8 @@ class ModelManager {
   std::optional<bn::TabularCpd> d_cpt_cache_;
   // Health / guard state.
   ModelHealth health_ = ModelHealth::kNone;
-  std::vector<HealthTransition> health_history_;
+  std::deque<HealthTransition> health_history_;
+  std::size_t health_transitions_ = 0;
   std::size_t failed_reconstructions_ = 0;
   std::size_t stale_skips_ = 0;
   std::size_t deferred_reconstructions_ = 0;
@@ -308,9 +348,6 @@ class ModelManager {
   // address while keeping the manager movable).
   std::unique_ptr<SnapshotSlot> snapshot_slot_ =
       std::make_unique<SnapshotSlot>();
-  /// Guarded rebuilds suspend the in-reconstruct publication until the
-  /// built model passes validation.
-  bool publish_suspended_ = false;
 };
 
 }  // namespace kertbn::core

@@ -77,18 +77,26 @@ const char* to_string(QueryStatus status) {
   return "unknown";
 }
 
+ModelSnapshot::ModelSnapshot(std::size_t snapshot_version, double build_time,
+                             std::shared_ptr<const bn::BayesianNetwork> served,
+                             std::optional<DatasetDiscretizer> disc)
+    : version(snapshot_version),
+      built_at(build_time),
+      model(std::move(served)),
+      net(*model),
+      discretizer(std::move(disc)) {}
+
 std::shared_ptr<const ModelSnapshot> make_model_snapshot(
-    std::size_t version, double built_at, const bn::BayesianNetwork& net,
+    std::size_t version, double built_at,
+    std::shared_ptr<const bn::BayesianNetwork> net,
     const std::optional<DatasetDiscretizer>& discretizer) {
+  KERTBN_EXPECTS(net != nullptr);
   KERTBN_SPAN_VAR(span, "kert.snapshot.build");
-  auto snapshot = std::make_shared<ModelSnapshot>();
-  snapshot->version = version;
-  snapshot->built_at = built_at;
-  snapshot->net = net;  // deep copy: the snapshot owns its model
-  snapshot->discretizer = discretizer;
+  auto snapshot = std::make_shared<ModelSnapshot>(version, built_at,
+                                                  std::move(net), discretizer);
   if (discrete_tabular(snapshot->net)) {
-    // The tree references the snapshot's own copy and is warmed here, so
-    // no-evidence reads on the shared snapshot are mutation-free.
+    // The tree references the shared, immutable model and is warmed here,
+    // so no-evidence reads on the shared snapshot are mutation-free.
     auto tree = std::make_unique<bn::JunctionTree>(snapshot->net);
     tree->warm();
     snapshot->prior_tree = std::move(tree);
@@ -96,6 +104,14 @@ std::shared_ptr<const ModelSnapshot> make_model_snapshot(
   span.tag("version", static_cast<std::uint64_t>(version));
   span.tag("tree", snapshot->has_tree());
   return snapshot;
+}
+
+std::shared_ptr<const ModelSnapshot> make_model_snapshot(
+    std::size_t version, double built_at, const bn::BayesianNetwork& net,
+    const std::optional<DatasetDiscretizer>& discretizer) {
+  return make_model_snapshot(
+      version, built_at, std::make_shared<const bn::BayesianNetwork>(net),
+      discretizer);
 }
 
 QueryEngine::QueryEngine(Config config) : config_(config) {

@@ -50,17 +50,31 @@ namespace kertbn::core {
 /// complete all-discrete tabular networks — the models the discrete query
 /// path serves; continuous models publish without a tree.
 struct ModelSnapshot {
-  std::size_t version = 0;
-  double built_at = 0.0;
-  bn::BayesianNetwork net;  ///< Deep copy; the tree references this copy.
+  ModelSnapshot(std::size_t snapshot_version, double build_time,
+                std::shared_ptr<const bn::BayesianNetwork> served,
+                std::optional<DatasetDiscretizer> disc);
+
+  std::size_t version;
+  double built_at;
+  /// The served network. Shared, not copied: the ModelManager that built
+  /// it never mutates a model once committed, it replaces it.
+  std::shared_ptr<const bn::BayesianNetwork> model;
+  const bn::BayesianNetwork& net;  ///< *model; the tree references it.
   std::optional<DatasetDiscretizer> discretizer;
   std::unique_ptr<const bn::JunctionTree> prior_tree;
 
   bool has_tree() const { return prior_tree != nullptr; }
 };
 
-/// Deep-copies \p net (and discretizer) into a snapshot; builds and warms
-/// the junction tree when the network is complete, all-discrete, tabular.
+/// Wraps \p net (shared) and the discretizer into a snapshot; builds and
+/// warms the junction tree when the network is complete, all-discrete,
+/// tabular.
+std::shared_ptr<const ModelSnapshot> make_model_snapshot(
+    std::size_t version, double built_at,
+    std::shared_ptr<const bn::BayesianNetwork> net,
+    const std::optional<DatasetDiscretizer>& discretizer);
+
+/// Same over a deep copy of \p net, for callers that keep mutating theirs.
 std::shared_ptr<const ModelSnapshot> make_model_snapshot(
     std::size_t version, double built_at, const bn::BayesianNetwork& net,
     const std::optional<DatasetDiscretizer>& discretizer);

@@ -4,6 +4,7 @@
 
 #include "common/contract.hpp"
 #include "common/cpu_features.hpp"
+#include "common/indexed_name.hpp"
 #include "obs/sink.hpp"
 #include "overload/governor.hpp"
 
@@ -65,7 +66,7 @@ ModelQualityMonitor::ModelQualityMonitor(core::ModelManager& manager,
 
 std::string ModelQualityMonitor::stream_name(std::size_t stream) const {
   if (stream == n_) return "response";
-  return "s" + std::to_string(stream);
+  return indexed_name("s", stream);
 }
 
 void ModelQualityMonitor::remember_row(std::span<const double> row) {
@@ -265,7 +266,7 @@ StatusReport ModelQualityMonitor::report() const {
   r.model_version = manager_.version();
   r.model_health = core::to_string(manager_.health());
   const auto& history = manager_.health_history();
-  r.health_transitions = history.size();
+  r.health_transitions = manager_.health_transitions();
   const std::size_t keep = std::min(config_.recent_transitions, history.size());
   for (std::size_t i = history.size() - keep; i < history.size(); ++i) {
     r.recent_transitions.push_back(

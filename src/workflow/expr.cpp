@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/contract.hpp"
+#include "common/indexed_name.hpp"
 
 namespace kertbn::wf {
 
@@ -148,7 +149,7 @@ bool Expr::is_linear() const {
 std::string Expr::to_string(std::span<const std::string> names) const {
   auto name_of = [&](std::size_t i) {
     if (i < names.size() && !names[i].empty()) return names[i];
-    return "X" + std::to_string(i);
+    return indexed_name("X", i);
   };
   std::ostringstream out;
   switch (kind_) {

@@ -61,6 +61,18 @@ TEST(DistributionSummary, ExceedanceDiscreteAndContinuous) {
   EXPECT_NEAR(cont.exceedance(0.0), 0.5, 1e-9);
 }
 
+TEST(DistributionSummary, DiscreteExceedanceClampedToOne) {
+  // Summed left to right these masses reach 1 + 2^-52, one ulp past 1.
+  DistributionSummary discrete;
+  discrete.support = {1.0, 2.0, 3.0, 4.0};
+  discrete.probs = {0.2, 0.4, 0.3, 0.1};
+  double raw = 0.0;
+  for (double p : discrete.probs) raw += p;
+  ASSERT_EQ(raw, 1.0 + std::ldexp(1.0, -52));
+  EXPECT_EQ(discrete.exceedance(0.0), 1.0);
+  EXPECT_EQ(discrete.exceedance(4.5), 0.0);
+}
+
 TEST(AllLinearGaussian, DetectsDeterministicCpd) {
   ContinuousFixture fx(1);
   EXPECT_FALSE(all_linear_gaussian(fx.net));  // D node is deterministic

@@ -114,6 +114,43 @@ TEST(ModelManager, HistoryRecordsTimings) {
   EXPECT_DOUBLE_EQ(rec.at, 120.0);
 }
 
+/// A long-running manager keeps only the most recent kLogCapacity entries
+/// of each log; the lifetime totals keep counting past them.
+TEST(ModelManager, LogsKeepTheMostRecentEntries) {
+  const std::vector<std::string> names{"a", "b"};
+  const wf::Workflow workflow(
+      names, wf::Node::sequence({wf::Node::activity(0),
+                                 wf::Node::activity(1)}));
+  std::vector<sim::ServiceModel> models(2);
+  models[0] = {0.10, 0.01, 0.0, 0.0};
+  models[1] = {0.20, 0.02, 0.0, 0.0};
+  sim::SyntheticEnvironment env(workflow, {}, models);
+  ModelManager manager(workflow, {}, continuous_config());
+  kertbn::Rng rng(12);
+  constexpr std::size_t kRebuilds = 1000;
+  for (std::size_t k = 1; k <= kRebuilds; ++k) {
+    const double now = 120.0 * static_cast<double>(k);
+    manager.reconstruct(now, env.generate(8, rng));  // -> kFresh
+    manager.note_drift(now, "drift");                // kFresh -> kStale
+  }
+  constexpr std::size_t kCap = ModelManager::kLogCapacity;
+  EXPECT_EQ(kCap, 256u);
+
+  EXPECT_EQ(manager.reconstructions(), kRebuilds);
+  ASSERT_EQ(manager.history().size(), kCap);
+  EXPECT_EQ(manager.history().front().version, kRebuilds - kCap + 1);
+  EXPECT_EQ(manager.history().back().version, kRebuilds);
+  EXPECT_EQ(manager.version(), kRebuilds);
+
+  // kNone -> kFresh, then kFresh -> kStale and kStale -> kFresh per cycle.
+  EXPECT_EQ(manager.health_transitions(), 2 * kRebuilds);
+  ASSERT_EQ(manager.health_history().size(), kCap);
+  EXPECT_EQ(manager.health_history().back().to, ModelHealth::kStale);
+  EXPECT_DOUBLE_EQ(manager.health_history().back().at, 120.0 * kRebuilds);
+  EXPECT_DOUBLE_EQ(manager.health_history().front().at,
+                   120.0 * (kRebuilds - kCap / 2 + 1));
+}
+
 TEST(ModelManager, GuardRejectsShortWindow) {
   sim::SyntheticEnvironment env = sim::make_ediamond_environment();
   ModelManager manager(env.workflow(), env.sharing(), continuous_config());

@@ -32,7 +32,7 @@ bool tag_bool(const obs::SpanEvent& e, std::string_view key) {
   return tag == nullptr ? false : std::get<bool>(tag->value);
 }
 
-void reconcile(const std::vector<Reconstruction>& history,
+void reconcile(const std::deque<Reconstruction>& history,
                const std::vector<obs::SpanEvent>& events,
                const obs::MetricsSnapshot& delta) {
   ASSERT_EQ(events.size(), history.size());
