@@ -5,12 +5,12 @@
 /// shipped model has gone stale and must be replaced.
 
 #include <cstdio>
-#include <sstream>
+#include <vector>
 
 #include "common/stats.hpp"
-#include "kert/drift.hpp"
 #include "kert/kert_builder.hpp"
 #include "kert/serialize.hpp"
+#include "obs/quality/drift.hpp"
 #include "sosim/synthetic.hpp"
 #include "workflow/ediamond.hpp"
 
@@ -36,19 +36,24 @@ int main() {
               loaded.net.log_likelihood(probe));
 
   // The shipped model serves predictions; a drift detector watches its
-  // per-interval score.
-  core::DriftDetector detector({.delta = 0.1, .lambda = 3.0});
+  // per-interval score, standardized against the nominal intervals.
   auto interval_score = [&](sim::SyntheticEnvironment& e) {
     const bn::Dataset interval = e.generate(20, rng);
     return loaded.net.log10_likelihood(interval) / 20.0;
   };
+  std::vector<double> nominal;
+  for (int i = 0; i < 8; ++i) nominal.push_back(interval_score(env));
+  const double mu = mean(nominal);
+  const double sd = stddev(nominal);
+  quality::DriftDetector detector;
 
-  std::printf("monitoring intervals (nominal regime):\n");
+  std::printf("monitoring intervals (nominal regime, score %.3f +- %.3f):\n",
+              mu, sd);
   for (int i = 0; i < 8; ++i) {
-    const double score = interval_score(env);
-    detector.add(score);
-    std::printf("  interval %2d: score %+.3f  drift=%s\n", i, score,
-                detector.drifted() ? "YES" : "no");
+    const double z = (nominal[i] - mu) / sd;
+    const quality::DriftState state = detector.add(z);
+    std::printf("  interval %2d: score %+.3f  z %+6.2f  drift=%s\n", i,
+                nominal[i], z, quality::to_string(state));
   }
 
   std::printf("\n*** remote locator degrades 1.8x ***\n");
@@ -56,10 +61,11 @@ int main() {
   shifted.accelerate_service(S::kImageLocatorRemote, 1.8);
   for (int i = 8; i < 24; ++i) {
     const double score = interval_score(shifted);
-    const bool alarm = detector.add(score);
-    std::printf("  interval %2d: score %+.3f  drift=%s\n", i, score,
-                alarm ? "YES" : "no");
-    if (alarm) {
+    const double z = (score - mu) / sd;
+    const quality::DriftState state = detector.add(z);
+    std::printf("  interval %2d: score %+.3f  z %+6.2f  drift=%s\n", i,
+                score, z, quality::to_string(state));
+    if (state == quality::DriftState::kConfirmed) {
       std::printf("\ndrift confirmed -> reconstructing from fresh window\n");
       const bn::Dataset fresh = shifted.generate(400, rng);
       const core::KertResult rebuilt = core::construct_kert_continuous(

@@ -21,12 +21,12 @@
 ///     precompute the longest unit-stride innermost run so the vector
 ///     kernels never gather: each operand either streams contiguously or
 ///     broadcasts a constant across the run.
-///   * Blocked chain products — product_chain with two or more factors
-///     executes as ONE multi-operand pass selected at plan time: every
-///     output element is a left-fold of its aligned operand entries,
-///     bit-identical to the pairwise fold but written once, so large CPT
-///     products stream through cache instead of materializing (and
-///     re-reading) each pairwise intermediate.
+///   * Blocked chain products — every product, pairwise included,
+///     executes as ONE multi-operand pass: every output element is a
+///     left-fold of its aligned operand entries, bit-identical to the
+///     pairwise fold but written once, so large CPT products stream
+///     through cache instead of materializing (and re-reading) each
+///     pairwise intermediate.
 ///   * Fused product+reduce — the clique→sepset message (product chain
 ///     followed by a sum-out to the separator) runs as a single
 ///     accumulation pass on SIMD tiers: the clique-sized intermediate is
@@ -77,43 +77,6 @@ struct FlatFactor {
   /// Sum of all entries, in storage order (same order as Factor::total).
   double total() const;
 };
-
-/// Precomputed alignment for product(a, b) -> out. The merged scope is a's
-/// variables followed by b's new ones — the exact order Factor::product
-/// uses — so executions are bit-identical to the legacy path.
-///
-/// The trailing `run_dims` output dimensions execute as one inner loop of
-/// `run_len` elements. When `vector_run`, each operand advances by
-/// `run_step_*` ∈ {0, 1} per element over the whole run (broadcast or
-/// contiguous stream) and the loop dispatches to the SIMD chain kernels;
-/// otherwise the run covers the last dimension only with the general
-/// per-element strides in `run_step_*`.
-struct ProductPlan {
-  std::vector<std::size_t> out_scope;
-  std::vector<std::size_t> out_cards;
-  std::size_t out_size = 1;
-  /// Per out-dimension stride into each operand (0 when absent from it).
-  std::vector<std::size_t> stride_a;
-  std::vector<std::size_t> stride_b;
-  std::size_t run_len = 1;
-  std::size_t run_dims = 0;
-  bool vector_run = false;
-  std::size_t run_step_a = 0;
-  std::size_t run_step_b = 0;
-};
-
-ProductPlan make_product_plan(std::span<const std::size_t> scope_a,
-                              std::span<const std::size_t> cards_a,
-                              std::span<const std::size_t> scope_b,
-                              std::span<const std::size_t> cards_b);
-
-/// out[i] = a[align_a(i)] * b[align_b(i)] for every merged-scope index.
-/// Bit-exact on every dispatch tier (single multiplies, no reassociation).
-/// \p odometer is caller-provided scratch (resized internally).
-void product_into(const ProductPlan& plan, std::span<const double> a,
-                  std::span<const double> b,
-                  std::vector<std::size_t>& odometer,
-                  std::vector<double>& out);
 
 /// Precomputed pipeline for "sum out every scope variable not in target".
 /// Variables are eliminated one at a time in scope order — the exact
@@ -176,19 +139,6 @@ void chain_product_into(const ChainPlan& plan,
                         std::span<const FlatFactor* const> ops,
                         std::vector<std::size_t>& odometer,
                         std::vector<double>& out);
-
-/// Log-space execution of the chain product for deep chains: each output
-/// element accumulates std::log of its aligned operand entries, then the
-/// table is rescaled by its maximum log before exponentiation. Returns
-/// log_scale such that the true product is out[i] * exp(log_scale) —
-/// chains deep enough to underflow the flat fold keep their relative
-/// magnitudes here. Scalar accumulation on every tier (a vectorized log
-/// would need a math library the project does not carry); exact zeros
-/// stay exact zeros.
-double chain_product_log_into(const ChainPlan& plan,
-                              std::span<const FlatFactor* const> ops,
-                              std::vector<std::size_t>& odometer,
-                              std::vector<double>& out);
 
 /// Fused product+reduce plan: the merged index space of a product chain
 /// walked once, accumulating each chain product directly into the reduced
@@ -337,28 +287,17 @@ class PlanCache {
 /// one workspace per worker (QueryEngine hands each pool worker its own).
 class FactorWorkspace {
  public:
-  /// out = a × b (merged scope, legacy order). out must not alias a or b.
+  /// out = a × b (merged scope, legacy order): the two-operand chain.
+  /// out must not alias a or b.
   void product(const FlatFactor& a, const FlatFactor& b, FlatFactor& out);
 
   /// out = base × factors[0] × factors[1] × ... (left fold, the order
-  /// product_with_messages uses). out must not alias any input. Two or
-  /// more factors execute through the blocked multi-operand ChainPlan
-  /// (bit-identical per element, output written once); a single factor
-  /// keeps the pairwise flat path.
+  /// product_with_messages uses). out must not alias any input. Executes
+  /// as one blocked multi-operand ChainPlan pass (bit-identical per
+  /// element to the pairwise fold, output written once).
   void product_chain(const FlatFactor& base,
                      std::span<const FlatFactor* const> factors,
                      FlatFactor& out);
-
-  /// Opt-in deep-chain guard: out = (base × factors...) computed in log
-  /// space and rescaled by its maximum element; returns log_scale such
-  /// that the true product is out * exp(log_scale). Nothing in the
-  /// serving path routes here by default — posteriors normalize away the
-  /// scale and the flat fold is exact — but a caller folding hundreds of
-  /// sub-unit tables (repeated-normalization territory) can switch to
-  /// this path to keep relative magnitudes at ~1 ulp-per-term cost.
-  double product_chain_log(const FlatFactor& base,
-                           std::span<const FlatFactor* const> factors,
-                           FlatFactor& out);
 
   /// out = (base × factors...) with every variable outside \p target
   /// summed out — the clique→sepset message. On SIMD tiers this fuses into
@@ -377,7 +316,6 @@ class FactorWorkspace {
   std::size_t plan_misses() const { return plan_misses_; }
 
  private:
-  const ProductPlan& product_plan(const FlatFactor& a, const FlatFactor& b);
   const ReducePlan& reduce_plan(const FlatFactor& f,
                                 std::span<const std::size_t> target);
   const ChainPlan& chain_plan(std::span<const FlatFactor* const> ops);
@@ -389,7 +327,6 @@ class FactorWorkspace {
   void build_key(std::span<const FlatFactor* const> ops,
                  std::span<const std::size_t> target);
 
-  PlanCache<ProductPlan> product_plans_;
   PlanCache<ReducePlan> reduce_plans_;
   PlanCache<ChainPlan> chain_plans_;
   PlanCache<ChainReducePlan> chain_reduce_plans_;
@@ -397,7 +334,6 @@ class FactorWorkspace {
   std::vector<const FlatFactor*> ops_;        // operand-list scratch
   std::vector<std::size_t> odometer_;
   std::vector<double> scratch_;
-  FlatFactor chain_tmp_[2];
   FlatFactor fused_tmp_;  // scalar-tier staging for product_chain_reduce
   std::size_t plan_hits_ = 0;
   std::size_t plan_misses_ = 0;

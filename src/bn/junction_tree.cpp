@@ -5,7 +5,7 @@
 #include <functional>
 #include <numeric>
 
-#include "bn/tabular_cpd.hpp"
+#include "bn/discrete_inference.hpp"
 #include "common/contract.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -240,28 +240,17 @@ void JunctionTree::build_structure() {
   posterior_plan_ready_.assign(n, 0);
 }
 
-Factor JunctionTree::clique_base_factor(std::size_t c) const {
-  Factor base = Factor::unit();
+FlatFactor JunctionTree::clique_base_factor(std::size_t c) const {
+  // Left fold of the clique's family factors onto the unit factor
+  // (bit-identical to folding them pairwise).
+  std::vector<FlatFactor> families;
   for (std::size_t v = 0; v < net_.size(); ++v) {
-    if (family_clique_[v] != c) continue;
-    // Family factor: parents (most significant) then child, matching the
-    // CPT layout (same construction as VariableElimination::node_factor).
-    const auto& cpt = static_cast<const TabularCpd&>(net_.cpd(v));
-    const auto pars = net_.dag().parents(v);
-    std::vector<std::size_t> scope(pars.begin(), pars.end());
-    scope.push_back(v);
-    std::vector<std::size_t> cards = cpt.parent_cardinalities();
-    cards.push_back(cpt.child_cardinality());
-    std::vector<double> values;
-    values.reserve(cpt.config_count() * cpt.child_cardinality());
-    for (std::size_t cfg = 0; cfg < cpt.config_count(); ++cfg) {
-      for (std::size_t s = 0; s < cpt.child_cardinality(); ++s) {
-        values.push_back(cpt.probability(cfg, s));
-      }
-    }
-    base = base.product(
-        Factor(std::move(scope), std::move(cards), std::move(values)));
+    if (family_clique_[v] == c) families.push_back(family_factor(net_, v));
   }
+  std::vector<const FlatFactor*> ops;
+  for (const FlatFactor& f : families) ops.push_back(&f);
+  FlatFactor base;
+  ws_.product_chain(FlatFactor::unit(), ops, base);
   return base;
 }
 
@@ -289,7 +278,7 @@ void JunctionTree::ensure_clean() const {
   KERTBN_SPAN_VAR(span, "jt.calibrate");
   span.tag("evidence", std::uint64_t{0});
   for (std::size_t c = 0; c < cliques_.size(); ++c) {
-    clean_base_[c] = FlatFactor::from(clique_base_factor(c));
+    clean_base_[c] = clique_base_factor(c);
   }
   auto compute_msg = [&](std::size_t x, std::size_t y) {
     std::vector<const FlatFactor*> in;

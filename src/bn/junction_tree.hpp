@@ -39,7 +39,6 @@
 #include <map>
 #include <vector>
 
-#include "bn/factor.hpp"
 #include "bn/factor_kernels.hpp"
 #include "bn/network.hpp"
 
@@ -115,7 +114,7 @@ class JunctionTree {
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
   void build_structure();
-  Factor clique_base_factor(std::size_t c) const;
+  FlatFactor clique_base_factor(std::size_t c) const;
 
   /// Computes the cached no-evidence calibration once: clean clique
   /// potentials and the full fixed point of directed messages.

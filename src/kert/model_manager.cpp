@@ -414,10 +414,19 @@ const char* ModelManager::validate_window(const bn::Dataset& window) const {
   if (window.cols() != workflow_.service_count() + 1) {
     return "window has wrong column count";
   }
+  // Finite values can still overflow the moments the builders fit: a
+  // column whose sum of squares is not finite would surface later as a
+  // NaN sigma, so it is rejected here with the non-finite values.
+  std::vector<double> sum_sq(window.cols(), 0.0);
   for (std::size_t r = 0; r < window.rows(); ++r) {
-    for (double v : window.row(r)) {
-      if (!std::isfinite(v)) return "non-finite value in window";
+    const auto row = window.row(r);
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      if (!std::isfinite(row[c])) return "non-finite value in window";
+      sum_sq[c] += row[c] * row[c];
     }
+  }
+  for (double s : sum_sq) {
+    if (!std::isfinite(s)) return "window moments overflow";
   }
   return nullptr;
 }

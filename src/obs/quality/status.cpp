@@ -1,81 +1,20 @@
 #include "obs/quality/status.hpp"
 
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 #include <string_view>
+
+#include "obs/json.hpp"
 
 namespace kertbn::quality {
 
 namespace {
 
-// ------------------------------------------------------------- writing --
-
-void append_escaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void field_str(std::string& out, const char* key, std::string_view v) {
-  append_escaped(out, key);
-  out += ':';
-  append_escaped(out, v);
-  out += ',';
-}
-
-void field_u64(std::string& out, const char* key, std::uint64_t v) {
-  append_escaped(out, key);
-  out += ':';
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-  out += ',';
-}
-
-void field_double(std::string& out, const char* key, double v) {
-  append_escaped(out, key);
-  out += ':';
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-  out += ',';
-}
-
-void field_bool(std::string& out, const char* key, bool v) {
-  append_escaped(out, key);
-  out += ':';
-  out += v ? "true" : "false";
-  out += ',';
-}
-
-/// Replaces the trailing ',' with the closer.
-void close(std::string& out, char closer) {
-  if (!out.empty() && out.back() == ',') out.back() = closer;
-  else out += closer;
-}
-
 // ------------------------------------------------------------- parsing --
 // Minimal recursive-descent parser over exactly the subset to_json()
 // emits. Failure is signaled by setting ok_ = false; every accessor
-// degrades to a default so parsing never aborts.
+// degrades to a default so parsing never aborts. Nesting deeper than
+// kMaxDepth fails too, so hostile input cannot exhaust the stack.
 
 struct Value {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -111,6 +50,9 @@ struct Value {
 
 class Parser {
  public:
+  /// to_json() nests three deep (report -> streams -> stream).
+  static constexpr std::size_t kMaxDepth = 16;
+
   explicit Parser(std::string_view text) : text_(text) {}
 
   std::optional<Value> parse() {
@@ -160,8 +102,16 @@ class Parser {
     skip_ws();
     if (!ok_) return {};
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) {
+        ok_ = false;
+        return {};
+      }
+      ++depth_;
+      Value v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       Value v;
       v.kind = Value::Kind::kString;
@@ -285,109 +235,102 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
   bool ok_ = true;
 };
 
 }  // namespace
 
 std::string StatusReport::to_json() const {
-  std::string out = "{";
-  field_str(out, "type", "status_report");
-  field_double(out, "generated_at", generated_at);
-
-  field_u64(out, "model_version", model_version);
-  field_str(out, "model_health", model_health);
-  field_u64(out, "health_transitions", health_transitions);
-  append_escaped(out, "recent_transitions");
-  out += ":[";
+  std::string out;
+  obs::JsonWriter w(out);
+  w.begin_object()
+      .field("type", "status_report")
+      .field("generated_at", generated_at)
+      .field("model_version", model_version)
+      .field("model_health", model_health)
+      .field("health_transitions", health_transitions)
+      .key("recent_transitions")
+      .begin_array();
   for (const TransitionStatus& t : recent_transitions) {
-    out += '{';
-    field_double(out, "at", t.at);
-    field_str(out, "from", t.from);
-    field_str(out, "to", t.to);
-    field_str(out, "reason", t.reason);
-    close(out, '}');
-    out += ',';
+    w.begin_object()
+        .field("at", t.at)
+        .field("from", t.from)
+        .field("to", t.to)
+        .field("reason", t.reason)
+        .end_object();
   }
-  close(out, ']');
-  out += ',';
-  field_u64(out, "failed_reconstructions", failed_reconstructions);
-  field_u64(out, "stale_skips", stale_skips);
-  field_str(out, "last_failure_reason", last_failure_reason);
-  field_u64(out, "drift_notices", drift_notices);
-  field_str(out, "last_drift_reason", last_drift_reason);
-
-  field_str(out, "overall_drift", overall_drift);
-  field_bool(out, "scorer_ready", scorer_ready);
-  field_u64(out, "scored_snapshot_version", scored_snapshot_version);
-  field_u64(out, "rows_scored", rows_scored);
-  field_u64(out, "rows_unscored", rows_unscored);
-  append_escaped(out, "streams");
-  out += ":[";
+  w.end_array()
+      .field("failed_reconstructions", failed_reconstructions)
+      .field("stale_skips", stale_skips)
+      .field("last_failure_reason", last_failure_reason)
+      .field("drift_notices", drift_notices)
+      .field("last_drift_reason", last_drift_reason)
+      .field("overall_drift", overall_drift)
+      .field("scorer_ready", scorer_ready)
+      .field("scored_snapshot_version", scored_snapshot_version)
+      .field("rows_scored", rows_scored)
+      .field("rows_unscored", rows_unscored)
+      .key("streams")
+      .begin_array();
   for (const StreamStatus& s : streams) {
-    out += '{';
-    field_str(out, "name", s.name);
-    field_u64(out, "count", s.count);
-    field_double(out, "mean_abs_err", s.mean_abs_err);
-    field_double(out, "mean_z", s.mean_z);
-    field_double(out, "rms_z", s.rms_z);
-    field_double(out, "mean_log_score", s.mean_log_score);
-    field_double(out, "coverage", s.coverage);
-    field_str(out, "drift", s.drift);
-    field_double(out, "cusum", s.cusum);
-    field_double(out, "page_hinkley", s.page_hinkley);
-    field_double(out, "predicted_mean", s.predicted_mean);
-    field_double(out, "predicted_stddev", s.predicted_stddev);
-    field_double(out, "band_lo", s.band_lo);
-    field_double(out, "band_hi", s.band_hi);
-    close(out, '}');
-    out += ',';
+    w.begin_object()
+        .field("name", s.name)
+        .field("count", s.count)
+        .field("mean_abs_err", s.mean_abs_err)
+        .field("mean_z", s.mean_z)
+        .field("rms_z", s.rms_z)
+        .field("mean_log_score", s.mean_log_score)
+        .field("coverage", s.coverage)
+        .field("drift", s.drift)
+        .field("cusum", s.cusum)
+        .field("page_hinkley", s.page_hinkley)
+        .field("predicted_mean", s.predicted_mean)
+        .field("predicted_stddev", s.predicted_stddev)
+        .field("band_lo", s.band_lo)
+        .field("band_hi", s.band_hi)
+        .end_object();
   }
-  close(out, ']');
-  out += ',';
+  w.end_array();
 
   if (recovery.has_value()) {
-    append_escaped(out, "recovery");
-    out += ":{";
-    field_bool(out, "checkpoint_loaded", recovery->checkpoint_loaded);
-    field_bool(out, "server_restored", recovery->server_restored);
-    field_bool(out, "model_restored", recovery->model_restored);
-    field_u64(out, "checkpoint_seq", recovery->checkpoint_seq);
-    field_u64(out, "replayed_records", recovery->replayed_records);
-    field_u64(out, "skipped_crc", recovery->skipped_crc);
-    field_u64(out, "torn_tails", recovery->torn_tails);
-    field_u64(out, "replayed_ingests", recovery->replayed_ingests);
-    field_u64(out, "replayed_misses", recovery->replayed_misses);
-    field_u64(out, "malformed_payloads", recovery->malformed_payloads);
-    close(out, '}');
-    out += ',';
+    w.key("recovery")
+        .begin_object()
+        .field("checkpoint_loaded", recovery->checkpoint_loaded)
+        .field("server_restored", recovery->server_restored)
+        .field("model_restored", recovery->model_restored)
+        .field("checkpoint_seq", recovery->checkpoint_seq)
+        .field("replayed_records", recovery->replayed_records)
+        .field("skipped_crc", recovery->skipped_crc)
+        .field("torn_tails", recovery->torn_tails)
+        .field("replayed_ingests", recovery->replayed_ingests)
+        .field("replayed_misses", recovery->replayed_misses)
+        .field("malformed_payloads", recovery->malformed_payloads)
+        .end_object();
   }
 
   if (overload.has_value()) {
-    append_escaped(out, "overload");
-    out += ":{";
-    field_str(out, "level", overload->level);
-    field_u64(out, "transitions", overload->transitions);
-    field_u64(out, "shed_intervals", overload->shed_intervals);
-    field_u64(out, "rejected_ingest", overload->rejected_ingest);
-    field_u64(out, "shed_queries", overload->shed_queries);
-    field_u64(out, "deadline_exceeded", overload->deadline_exceeded);
-    field_u64(out, "deferred_reconstructions",
-              overload->deferred_reconstructions);
-    field_u64(out, "aborted_reconstructions",
-              overload->aborted_reconstructions);
-    close(out, '}');
-    out += ',';
+    w.key("overload")
+        .begin_object()
+        .field("level", overload->level)
+        .field("transitions", overload->transitions)
+        .field("shed_intervals", overload->shed_intervals)
+        .field("rejected_ingest", overload->rejected_ingest)
+        .field("shed_queries", overload->shed_queries)
+        .field("deadline_exceeded", overload->deadline_exceeded)
+        .field("deferred_reconstructions", overload->deferred_reconstructions)
+        .field("aborted_reconstructions", overload->aborted_reconstructions)
+        .end_object();
   }
 
-  field_u64(out, "query_count", query_count);
-  field_u64(out, "query_latency_p50_ns", query_latency_p50_ns);
-  field_u64(out, "query_latency_p95_ns", query_latency_p95_ns);
-  field_u64(out, "query_latency_p99_ns", query_latency_p99_ns);
-  field_str(out, "simd_tier", simd_tier);
-  field_u64(out, "plan_cache_hits", plan_cache_hits);
-  field_u64(out, "plan_cache_misses", plan_cache_misses);
-  close(out, '}');
+  w.field("query_count", query_count)
+      .field("query_latency_p50_ns", query_latency_p50_ns)
+      .field("query_latency_p95_ns", query_latency_p95_ns)
+      .field("query_latency_p99_ns", query_latency_p99_ns)
+      .field("simd_tier", simd_tier)
+      .field("plan_cache_hits", plan_cache_hits)
+      .field("plan_cache_misses", plan_cache_misses)
+      .end_object();
   return out;
 }
 

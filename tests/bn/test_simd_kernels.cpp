@@ -421,64 +421,6 @@ TEST(SimdKernels, PlansSurviveTierSwitchesMidRun) {
   EXPECT_GE(ws.plan_hits(), runnable_tiers().size() - 1);
 }
 
-TEST(SimdKernels, LogSpaceChainMatchesFlatAndResistsUnderflow) {
-  TierGuard guard;
-  kertbn::Rng rng(9107);
-  FactorWorkspace ws;
-
-  // Moderate chain: log path agrees with the flat fold within the
-  // ~1 ulp-per-term transcendental budget, on every tier.
-  {
-    const std::vector<std::size_t> universe = random_universe(rng);
-    const Factor base = random_shape(rng, universe, 3);
-    std::vector<Factor> fs;
-    for (int i = 0; i < 3; ++i) fs.push_back(random_shape(rng, universe, 3));
-    const FlatFactor fb = FlatFactor::from(base);
-    std::vector<FlatFactor> flats;
-    for (const Factor& f : fs) flats.push_back(FlatFactor::from(f));
-    std::vector<const FlatFactor*> chain;
-    for (const FlatFactor& f : flats) chain.push_back(&f);
-    for (simd::Tier tier : runnable_tiers()) {
-      simd::set_active_tier(tier);
-      FlatFactor flat, logged;
-      ws.product_chain(fb, chain, flat);
-      const double scale = ws.product_chain_log(fb, chain, logged);
-      ASSERT_EQ(flat.scope, logged.scope);
-      std::vector<double> rescaled(logged.values);
-      for (double& v : rescaled) v *= std::exp(scale);
-      expect_close(flat.values, rescaled, 1e-12, simd::to_string(tier));
-    }
-  }
-
-  // Deep chain of sub-unit tables: the flat fold underflows to +0.0,
-  // the log path keeps the relative magnitudes.
-  {
-    kertbn::Rng deep_rng(424242);
-    const Factor tiny = random_factor({0}, {3}, deep_rng);
-    std::vector<double> small;
-    for (double v : tiny.values()) small.push_back(v * 1e-4);
-    const FlatFactor op{{0}, {3}, small};
-    std::vector<const FlatFactor*> chain(120, &op);
-    FlatFactor flat, logged;
-    ws.product_chain(op, chain, flat);
-    for (double v : flat.values) EXPECT_EQ(v, 0.0);  // underflowed
-    const double scale = ws.product_chain_log(op, chain, logged);
-    EXPECT_LT(scale, 0.0);
-    double top = 0.0;
-    for (double v : logged.values) {
-      EXPECT_TRUE(std::isfinite(v));
-      top = std::max(top, v);
-    }
-    EXPECT_EQ(top, 1.0);  // rescaled by its own maximum
-    // Relative magnitudes survive: ratio of entries == ratio of the
-    // 121st powers of the inputs, compared in log space.
-    const double want =
-        121.0 * (std::log(small[1]) - std::log(small[0]));
-    const double got = std::log(logged.values[1]) - std::log(logged.values[0]);
-    EXPECT_NEAR(want, got, 1e-9);
-  }
-}
-
 // --- evidence ops ------------------------------------------------------------
 
 TEST(SimdKernels, EvidenceOpsBitExactOnEveryTier) {

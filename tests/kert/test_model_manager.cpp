@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.hpp"
 #include "sosim/synthetic.hpp"
@@ -198,6 +199,38 @@ TEST(ModelManager, GuardFallsBackOnNonFiniteWindow) {
       manager.maybe_reconstruct(360.0, env.generate(36, rng)).has_value());
   EXPECT_EQ(manager.version(), 2u);
   EXPECT_EQ(manager.health(), ModelHealth::kFresh);
+}
+
+TEST(ModelManager, GuardRejectsWindowWhoseMomentsOverflow) {
+  sim::SyntheticEnvironment env = sim::make_ediamond_environment();
+  ModelManager manager(env.workflow(), env.sharing(), continuous_config());
+  kertbn::Rng rng(11);
+
+  // Every value is finite, but squaring 1e300 overflows the moments the
+  // fit needs. Validation must reject it by value — no contract abort —
+  // and with no model yet the manager reports kDegraded.
+  bn::Dataset huge = env.generate(36, rng);
+  huge.add_row(std::vector<double>(huge.cols(), 1e300));
+  EXPECT_FALSE(manager.maybe_reconstruct(120.0, huge).has_value());
+  EXPECT_FALSE(manager.has_model());
+  EXPECT_EQ(manager.health(), ModelHealth::kDegraded);
+  EXPECT_EQ(manager.last_failure_reason(), "window moments overflow");
+
+  // A service time just under the bound (its square still fits) builds.
+  const double bound = std::sqrt(std::numeric_limits<double>::max());
+  bn::Dataset large = env.generate(36, rng);
+  std::vector<double> row(large.cols(), 1.0);
+  row[0] = 0.99 * bound;
+  large.add_row(row);
+  ASSERT_TRUE(manager.maybe_reconstruct(240.0, large).has_value());
+  EXPECT_EQ(manager.health(), ModelHealth::kFresh);
+  EXPECT_EQ(manager.version(), 1u);
+
+  // With a model serving, the overflowing window falls back to it.
+  EXPECT_FALSE(manager.maybe_reconstruct(360.0, huge).has_value());
+  EXPECT_EQ(manager.version(), 1u);
+  EXPECT_EQ(manager.health(), ModelHealth::kFallback);
+  EXPECT_EQ(manager.failed_reconstructions(), 2u);
 }
 
 TEST(ModelManager, StaleSkipOnUnchangedWindow) {

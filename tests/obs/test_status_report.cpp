@@ -122,6 +122,21 @@ TEST(StatusReport, MalformedInputReturnsNullopt) {
       status_report_from_json(text.substr(0, text.size() / 2)).has_value());
 }
 
+TEST(StatusReport, DeepNestingReturnsNullopt) {
+  // A recursive descent without a depth cap overflows the stack here.
+  EXPECT_FALSE(
+      status_report_from_json(std::string(1'000'000, '[')).has_value());
+  EXPECT_FALSE(
+      status_report_from_json(std::string(1'000'000, '{')).has_value());
+  std::string nested = "{\"type\":\"status_report\",\"streams\":";
+  for (int i = 0; i < 100; ++i) nested += "[";
+  for (int i = 0; i < 100; ++i) nested += "]";
+  nested += "}";
+  EXPECT_FALSE(status_report_from_json(nested).has_value());
+  // Nesting that to_json() itself produces still parses.
+  EXPECT_TRUE(status_report_from_json(full_report().to_json()).has_value());
+}
+
 TEST(StatusReport, RecoveryStatusMirrorsRecoveryReport) {
   durable::RecoveryReport rep;
   rep.checkpoint_loaded = true;
