@@ -285,6 +285,11 @@ class PlanCache {
 
 /// Per-tree cache of alignment plans and scratch buffers. Not thread-safe:
 /// one workspace per worker (QueryEngine hands each pool worker its own).
+///
+/// Invariant: one workspace serves one network, so a variable id keeps its
+/// cardinality for the workspace's lifetime. Plans are keyed on scope ids
+/// alone; a factor that gives a cached id a different cardinality would
+/// replay a plan sized for the old one and walk past its buffers.
 class FactorWorkspace {
  public:
   /// out = a × b (merged scope, legacy order): the two-operand chain.

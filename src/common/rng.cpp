@@ -20,6 +20,11 @@ std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
 
+/// 53 random mantissa bits -> uniform in [0, 1).
+double unit_interval(std::uint64_t bits) {
+  return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
+
 }  // namespace
 
 void Rng::reseed(std::uint64_t seed) {
@@ -44,9 +49,11 @@ Rng::result_type Rng::operator()() {
   return result;
 }
 
-double Rng::uniform() {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+double Rng::uniform() { return unit_interval((*this)()); }
+
+void Rng::fill_uniform(std::span<double> out) {
+  // Defined beside operator() so the xoshiro step inlines into the loop.
+  for (double& u : out) u = unit_interval((*this)());
 }
 
 double Rng::uniform(double lo, double hi) {

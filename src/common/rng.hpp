@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace kertbn {
@@ -40,6 +41,10 @@ class Rng {
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
+
+  /// Fills \p out with uniform doubles in [0, 1): the same stream, in the
+  /// same order, as out.size() successive uniform() calls.
+  void fill_uniform(std::span<double> out);
 
   /// Uniform integer in [0, n). Precondition: n > 0.
   std::uint64_t uniform_index(std::uint64_t n);

@@ -91,33 +91,61 @@ bn::TabularCpd make_deterministic_cpt(const wf::Workflow& workflow,
   const std::size_t n = workflow.service_count();
   KERTBN_EXPECTS(discretizer.columns() == n + 1);
   const std::size_t bins = discretizer.bins();
-  const wf::Expr::Ptr expr = workflow.response_time_expr();
+  const std::size_t samples = samples_per_config;
+  // One sample sits at the bin centres and draws nothing.
+  const bool draw = samples > 1;
+
+  // Per (service, state) at index i * bins + state: where the state's points
+  // start and how wide they spread — uniform(lo, max(hi, lo + 1e-12))'s
+  // operands, or the bin centre with no spread.
+  std::vector<double> lo(n * bins, 0.0);
+  std::vector<double> width(n * bins, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const ColumnDiscretizer& column = discretizer.column(i);
+    for (std::size_t s = 0; s < bins; ++s) {
+      if (!draw) {
+        lo[i * bins + s] = column.center_of(s);
+        continue;
+      }
+      const auto [a, b] = column.interval_of(s);
+      lo[i * bins + s] = a;
+      width[i * bins + s] = std::max(b, a + 1e-12) - a;
+    }
+  }
+  const std::vector<double>& d_edges = discretizer.column(n).edges();
 
   std::size_t configs = 1;
   for (std::size_t i = 0; i < n; ++i) configs *= bins;
 
   std::vector<double> table(configs * bins, 0.0);
   std::vector<std::size_t> states(n, 0);
-  std::vector<double> point(n, 0.0);
+  std::vector<double> uniforms(draw ? samples * n : 0);
+  wf::LaneEvaluator f(*workflow.response_time_expr(), n, samples);
   const double off_mass = leak_l / static_cast<double>(bins);
+  const double hit_mass = (1.0 - leak_l) / static_cast<double>(samples);
   // Fixed seed: the CPT is a deterministic function of the knowledge
-  // (workflow + bin geometry), reproducible across reconstructions.
+  // (workflow + bin geometry), reproducible across reconstructions. The
+  // draws run in (configuration, sample, service) order.
   Rng rng(0x5EED5EED);
 
   for (std::size_t cfg = 0; cfg < configs; ++cfg) {
     double* row = table.data() + cfg * bins;
-    const double hit_mass =
-        (1.0 - leak_l) / static_cast<double>(samples_per_config);
-    for (std::size_t k = 0; k < samples_per_config; ++k) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (samples_per_config == 1) {
-          point[i] = discretizer.column(i).center_of(states[i]);
-        } else {
-          const auto [lo, hi] = discretizer.column(i).interval_of(states[i]);
-          point[i] = rng.uniform(lo, std::max(hi, lo + 1e-12));
-        }
+    rng.fill_uniform(uniforms);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double x0 = lo[i * bins + states[i]];
+      const double w = width[i * bins + states[i]];
+      const std::span<double> x = f.service_lanes(i);
+      if (!draw) {
+        x[0] = x0;
+        continue;
       }
-      row[discretizer.column(n).bin_of(expr->evaluate(point))] += hit_mass;
+      for (std::size_t k = 0; k < samples; ++k) {
+        x[k] = x0 + w * uniforms[k * n + i];
+      }
+    }
+    for (double d : f.run()) {
+      row[std::upper_bound(d_edges.begin(), d_edges.end(), d) -
+          d_edges.begin()] += hit_mass;
     }
     for (std::size_t s = 0; s < bins; ++s) row[s] += off_mass;
     // Advance mixed-radix parent counter (last parent fastest, matching

@@ -57,11 +57,17 @@ double leak_sigma_from_residual_moments(double sum, double sum_sq,
 
 /// Materializes Equation 4 as a CPT for the discrete variant. For each
 /// parent bin configuration the deterministic function is integrated over
-/// the configuration's bin intervals (\p samples_per_config quasi-random
-/// evaluations of f — knowledge + bin geometry only, no response data) and
-/// the resulting D-bin frequencies carry mass (1 - leak_l); leak_l spreads
-/// uniformly. samples_per_config = 1 evaluates f at the bin centers only
-/// (the naive variant; loses within-bin spread and miscalibrates tails).
+/// the configuration's bin intervals (\p samples_per_config pseudo-random
+/// points drawn uniformly in the intervals from a fixed-seed xoshiro256**
+/// stream, then f evaluated at each — knowledge + bin geometry only, no
+/// response data) and the resulting D-bin frequencies carry mass
+/// (1 - leak_l); leak_l spreads uniformly. The draw order — configuration,
+/// then sample, then service — is part of the model's identity: another
+/// order yields another CPT. samples_per_config = 1 evaluates f at the bin
+/// centers only and draws nothing (the naive variant; loses within-bin
+/// spread and miscalibrates tails). Each configuration is one batched
+/// pass: one bulk draw, f over all samples as lanes (wf::LaneEvaluator),
+/// then binning — byte-identical to drawing and evaluating per sample.
 bn::TabularCpd make_deterministic_cpt(const wf::Workflow& workflow,
                                       const DatasetDiscretizer& discretizer,
                                       double leak_l,

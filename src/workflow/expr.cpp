@@ -110,6 +110,91 @@ double Expr::evaluate(std::span<const double> times) const {
   return 0.0;
 }
 
+LaneEvaluator::LaneEvaluator(const Expr& expr, std::size_t services,
+                             std::size_t lanes)
+    : services_(services), lanes_(lanes), values_(services * lanes, 0.0) {
+  KERTBN_EXPECTS(lanes >= 1);
+  result_ = compile(expr);
+}
+
+std::size_t LaneEvaluator::add_register(double value) {
+  values_.insert(values_.end(), lanes_, value);
+  return values_.size() / lanes_ - 1;
+}
+
+std::size_t LaneEvaluator::compile(const Expr& e) {
+  switch (e.kind()) {
+    case ExprKind::kService:
+      KERTBN_EXPECTS(e.service_index() < services_);
+      return e.service_index();
+    case ExprKind::kConstant:
+      return add_register(e.constant_value());
+    case ExprKind::kSum:
+    case ExprKind::kMax:
+    case ExprKind::kBlend:
+    case ExprKind::kScale:
+      break;
+  }
+  // Post-order: every operand's register is final before this op reads it.
+  std::vector<std::size_t> operands;
+  for (const auto& c : e.children()) operands.push_back(compile(*c));
+  Op op{e.kind(), add_register(0.0), args_.size(), operands.size(), 0.0};
+  if (e.kind() == ExprKind::kScale) op.factor = e.scale_factor();
+  for (std::size_t i = 0; i < operands.size(); ++i) {
+    args_.push_back(operands[i]);
+    weights_.push_back(e.kind() == ExprKind::kBlend ? e.blend_probs()[i]
+                                                    : 0.0);
+  }
+  ops_.push_back(op);
+  return op.out;
+}
+
+std::span<double> LaneEvaluator::service_lanes(std::size_t s) {
+  KERTBN_EXPECTS(s < services_);
+  return {lanes_of(s), lanes_};
+}
+
+std::span<const double> LaneEvaluator::run() {
+  const std::size_t n = lanes_;
+  for (const Op& op : ops_) {
+    double* out = lanes_of(op.out);
+    const std::size_t* args = args_.data() + op.first_arg;
+    switch (op.kind) {
+      case ExprKind::kSum:
+        std::fill_n(out, n, 0.0);
+        for (std::size_t i = 0; i < op.arity; ++i) {
+          const double* c = lanes_of(args[i]);
+          for (std::size_t l = 0; l < n; ++l) out[l] += c[l];
+        }
+        break;
+      case ExprKind::kMax:
+        std::copy_n(lanes_of(args[0]), n, out);
+        for (std::size_t i = 1; i < op.arity; ++i) {
+          const double* c = lanes_of(args[i]);
+          for (std::size_t l = 0; l < n; ++l) out[l] = std::max(out[l], c[l]);
+        }
+        break;
+      case ExprKind::kBlend:
+        std::fill_n(out, n, 0.0);
+        for (std::size_t i = 0; i < op.arity; ++i) {
+          const double p = weights_[op.first_arg + i];
+          const double* c = lanes_of(args[i]);
+          for (std::size_t l = 0; l < n; ++l) out[l] += p * c[l];
+        }
+        break;
+      case ExprKind::kScale: {
+        const double* c = lanes_of(args[0]);
+        for (std::size_t l = 0; l < n; ++l) out[l] = op.factor * c[l];
+        break;
+      }
+      case ExprKind::kService:
+      case ExprKind::kConstant:
+        KERTBN_ASSERT(false && "leaves compile to registers, not ops");
+    }
+  }
+  return {lanes_of(result_), n};
+}
+
 namespace {
 
 void collect(const Expr& e, std::vector<std::size_t>& out) {

@@ -70,4 +70,49 @@ class Expr {
   std::vector<double> probs_;
 };
 
+/// f(X) flattened to a post-order program over a batch of points ("lanes"):
+/// the batched form of Expr::evaluate. Each operation runs across every lane
+/// before the next, repeating evaluate()'s per-lane operation order exactly
+/// — sums and blends start from 0.0 and add their children left to right,
+/// max folds std::max from the first child, scale multiplies factor · child
+/// — so lane l's result is bit-identical to evaluate() at lane l's point.
+/// Construction compiles the tree and sizes every buffer; run() allocates
+/// nothing.
+class LaneEvaluator {
+ public:
+  /// Compiles \p expr over services 0..services-1 for batches of \p lanes
+  /// points. Every service leaf must index below \p services.
+  LaneEvaluator(const Expr& expr, std::size_t services, std::size_t lanes);
+
+  /// Service \p s's elapsed time in every lane; write it before run().
+  std::span<double> service_lanes(std::size_t s);
+
+  /// Evaluates f in every lane. The results stay valid until the next run().
+  std::span<const double> run();
+
+ private:
+  struct Op {
+    ExprKind kind;
+    std::size_t out;        // register receiving the result
+    std::size_t first_arg;  // operands: args_[first_arg, first_arg + arity)
+    std::size_t arity;
+    double factor;  // scale factor (kScale only)
+  };
+
+  std::size_t compile(const Expr& e);
+  /// Appends a register with every lane set to \p value; returns its index.
+  std::size_t add_register(double value);
+  double* lanes_of(std::size_t reg) { return values_.data() + reg * lanes_; }
+
+  std::size_t services_;
+  std::size_t lanes_;
+  std::size_t result_ = 0;
+  std::vector<Op> ops_;            // post-order
+  std::vector<std::size_t> args_;  // operand registers
+  std::vector<double> weights_;    // blend probabilities, aligned with args_
+  /// Registers × lanes, register-major: the services first, then constants
+  /// and operation results.
+  std::vector<double> values_;
+};
+
 }  // namespace kertbn::wf

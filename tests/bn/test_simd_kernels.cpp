@@ -280,8 +280,10 @@ TEST(SimdKernels, ChainFmaAccumulatesWithinToleranceOnEveryTier) {
 TEST(SimdKernels, PairwiseProductsBitExactOnEveryTierOverSeededShapes) {
   TierGuard guard;
   kertbn::Rng rng(9101);
-  FactorWorkspace ws;
   for (int rep = 0; rep < 80; ++rep) {
+    // Each rep draws a new universe, so a variable id may change its
+    // cardinality: one workspace per shape (see FactorWorkspace).
+    FactorWorkspace ws;
     const std::vector<std::size_t> universe = random_universe(rng);
     const Factor a = random_shape(rng, universe);
     const Factor b = random_shape(rng, universe);
@@ -300,8 +302,10 @@ TEST(SimdKernels, PairwiseProductsBitExactOnEveryTierOverSeededShapes) {
 TEST(SimdKernels, ChainProductsBitExactOnEveryTierOverSeededShapes) {
   TierGuard guard;
   kertbn::Rng rng(9102);
-  FactorWorkspace ws;
   for (int rep = 0; rep < 40; ++rep) {
+    // Each rep draws a new universe, so a variable id may change its
+    // cardinality: one workspace per shape (see FactorWorkspace).
+    FactorWorkspace ws;
     const std::vector<std::size_t> universe = random_universe(rng);
     const Factor base = random_shape(rng, universe, 3);
     const std::size_t k = 2 + rng.uniform_index(3);
@@ -330,8 +334,10 @@ TEST(SimdKernels, ChainProductsBitExactOnEveryTierOverSeededShapes) {
 TEST(SimdKernels, ReduceScalarBitExactSimdWithinToleranceOverSeededShapes) {
   TierGuard guard;
   kertbn::Rng rng(9103);
-  FactorWorkspace ws;
   for (int rep = 0; rep < 60; ++rep) {
+    // Each rep draws a new universe, so a variable id may change its
+    // cardinality: one workspace per shape (see FactorWorkspace).
+    FactorWorkspace ws;
     const Factor f = random_shape(rng, random_universe(rng));
     // Random strict-subset target (possibly empty: total marginalization).
     std::vector<std::size_t> target;
@@ -361,8 +367,10 @@ TEST(SimdKernels, ReduceScalarBitExactSimdWithinToleranceOverSeededShapes) {
 TEST(SimdKernels, FusedChainReduceMatchesTwoStepOnEveryTier) {
   TierGuard guard;
   kertbn::Rng rng(9104);
-  FactorWorkspace ws;
   for (int rep = 0; rep < 40; ++rep) {
+    // Each rep draws a new universe, so a variable id may change its
+    // cardinality: one workspace per shape (see FactorWorkspace).
+    FactorWorkspace ws;
     const std::vector<std::size_t> universe = random_universe(rng);
     const Factor base = random_shape(rng, universe, 3);
     const std::size_t k = 1 + rng.uniform_index(3);

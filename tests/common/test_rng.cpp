@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "common/stats.hpp"
@@ -35,6 +36,26 @@ TEST(Rng, ReseedRestartsStream) {
   for (int i = 0; i < 10; ++i) first.push_back(a());
   a.reseed(7);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(a(), first[i]);
+}
+
+TEST(Rng, FillUniformMatchesRepeatedUniform) {
+  Rng bulk(0x5EED5EED);
+  Rng single(0x5EED5EED);
+  // Several lengths, including 0, with uniform() calls interleaved between
+  // the fills: both generators must stay on the same stream throughout.
+  for (std::size_t len : {0, 1, 3, 0, 64, 7, 448, 2}) {
+    std::vector<double> got(len, -1.0);
+    bulk.fill_uniform(got);
+    for (std::size_t i = 0; i < len; ++i) {
+      const double want = single.uniform();
+      ASSERT_EQ(std::memcmp(&got[i], &want, sizeof want), 0)
+          << "len=" << len << " i=" << i;
+    }
+    const double a = bulk.uniform();
+    const double b = single.uniform();
+    ASSERT_EQ(std::memcmp(&a, &b, sizeof a), 0) << "after len=" << len;
+  }
+  EXPECT_EQ(bulk(), single());
 }
 
 TEST(Rng, UniformInUnitInterval) {

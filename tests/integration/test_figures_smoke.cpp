@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "bn/discrete_inference.hpp"
 #include "common/rng.hpp"
@@ -76,15 +78,23 @@ TEST(Fig3Shape, KertAccuracyConvergesFasterThanNrt) {
 
 TEST(Fig4Shape, NrtSuperlinearKertNear_linear) {
   kertbn::Rng rng(5);
+  // The fastest of 5 constructions per size: a single wall-clock sample
+  // ratio flakes whenever the scheduler stalls one of the two.
   auto construct_times = [&rng](std::size_t n) {
     sim::SyntheticEnvironment env = sim::make_random_environment(n, rng);
     const bn::Dataset train = env.generate(36, rng);
-    const auto kert =
-        core::construct_kert_continuous(env.workflow(), env.sharing(), train);
-    kertbn::Rng k2_rng(6);
-    const auto nrt =
-        core::construct_nrt(train, continuous_vars(train), k2_rng);
-    return std::pair{kert.report.total_seconds, nrt.report.total_seconds};
+    double kert_s = std::numeric_limits<double>::infinity();
+    double nrt_s = std::numeric_limits<double>::infinity();
+    for (int run = 0; run < 5; ++run) {
+      const auto kert = core::construct_kert_continuous(env.workflow(),
+                                                        env.sharing(), train);
+      kertbn::Rng k2_rng(6);
+      const auto nrt =
+          core::construct_nrt(train, continuous_vars(train), k2_rng);
+      kert_s = std::min(kert_s, kert.report.total_seconds);
+      nrt_s = std::min(nrt_s, nrt.report.total_seconds);
+    }
+    return std::pair{kert_s, nrt_s};
   };
   const auto [kert10, nrt10] = construct_times(10);
   const auto [kert40, nrt40] = construct_times(40);

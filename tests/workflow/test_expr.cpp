@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/rng.hpp"
+
 namespace kertbn::wf {
 namespace {
 
@@ -93,6 +97,58 @@ TEST(Expr, ToStringWithNames) {
 TEST(Expr, ToStringFallsBackToIndices) {
   const auto e = Expr::max({Expr::service(0), Expr::service(7)});
   EXPECT_EQ(e->to_string(), "max(X0, X7)");
+}
+
+/// Every lane of \p lanes must equal evaluate() at that lane's point, bit
+/// for bit, over a few rounds of fresh seeded points.
+void expect_lanes_match_evaluate(const Expr& e, std::size_t services,
+                                 std::size_t lanes) {
+  LaneEvaluator f(e, services, lanes);
+  kertbn::Rng rng(17);
+  std::vector<double> point(services);
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t s = 0; s < services; ++s) {
+      for (double& x : f.service_lanes(s)) x = rng.uniform(-0.5, 3.0);
+    }
+    const std::span<const double> got = f.run();
+    ASSERT_EQ(got.size(), lanes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      for (std::size_t s = 0; s < services; ++s) {
+        point[s] = f.service_lanes(s)[l];
+      }
+      const double want = e.evaluate(point);
+      EXPECT_EQ(std::memcmp(&got[l], &want, sizeof want), 0)
+          << "round " << round << " lane " << l << ": " << got[l] << " vs "
+          << want;
+    }
+  }
+}
+
+TEST(LaneEvaluator, EveryOperationMatchesEvaluateBitForBit) {
+  // Constants, a repeated leaf, and each operation nested under the others.
+  const auto e = Expr::sum(
+      {Expr::constant(0.125), Expr::service(2),
+       Expr::max({Expr::service(0),
+                  Expr::scale(1.7, Expr::blend({Expr::service(1),
+                                                Expr::service(3),
+                                                Expr::constant(-0.3)},
+                                               {0.2, 0.7, 0.1})),
+                  Expr::service(2)}),
+       Expr::blend({Expr::sum({Expr::service(3), Expr::service(0)}),
+                    Expr::service(1)},
+                   {0.35, 0.65})});
+  for (std::size_t lanes : {1, 7, 64}) {
+    expect_lanes_match_evaluate(*e, 4, lanes);
+  }
+}
+
+TEST(LaneEvaluator, LeafRootsPassThrough) {
+  expect_lanes_match_evaluate(*Expr::service(1), 3, 5);
+  expect_lanes_match_evaluate(*Expr::constant(2.5), 3, 5);
+}
+
+TEST(LaneEvaluator, RejectsLeafOutsideServices) {
+  EXPECT_DEATH(LaneEvaluator(*Expr::service(3), 3, 4), "precondition");
 }
 
 TEST(Expr, BlendRequiresNormalizedProbs) {
