@@ -233,31 +233,24 @@ ParameterLearnReport learn_parameters(BayesianNetwork& net,
     return report;
   }
 
-  // Concurrent fits against the const network/dataset, staged per node;
-  // futures propagate any task exception on get(). Each task re-checks the
-  // cancellation flag at start so queued-but-unstarted fits become no-ops
-  // once cancellation fires.
-  std::vector<std::future<NodeFit>> futures;
-  futures.reserve(report.learned_nodes.size());
+  // Concurrent fits against the const network/dataset, staged per node
+  // and committed in node order; parallel_for rethrows a fit's exception
+  // only after every fit finished. A fit that starts after cancellation
+  // fired stays empty, and its node keeps its old CPD (if any).
+  const std::vector<std::size_t>& nodes = report.learned_nodes;
+  std::vector<NodeFit> fits(nodes.size());
   const BayesianNetwork& cnet = net;
-  for (std::size_t v : report.learned_nodes) {
-    futures.push_back(pool->submit([&cnet, &data, &opts, v] {
-      if (opts.cancel != nullptr &&
-          opts.cancel->load(std::memory_order_relaxed)) {
-        return NodeFit{};
-      }
-      return fit_node_cpd(cnet, v, data, opts);
-    }));
-  }
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    NodeFit fit = futures[i].get();
-    const std::size_t v = report.learned_nodes[i];
-    if (fit.cpd == nullptr) {
+  pool->parallel_for(nodes.size(), [&](std::size_t i) {
+    if (cancelled()) return;
+    fits[i] = fit_node_cpd(cnet, nodes[i], data, opts);
+  });
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (fits[i].cpd == nullptr) {
       report.cancelled = true;
-      continue;  // skipped by cancellation — node keeps its old CPD (if any)
+      continue;
     }
-    report.per_node_seconds[v] = fit.seconds;
-    net.set_cpd(v, std::move(fit.cpd));
+    report.per_node_seconds[nodes[i]] = fits[i].seconds;
+    net.set_cpd(nodes[i], std::move(fits[i].cpd));
   }
   report.total_seconds = total.seconds();
   return report;

@@ -1,6 +1,10 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <limits>
+#include <memory>
 
 #include "obs/metrics.hpp"
 
@@ -95,14 +99,83 @@ void ThreadPool::worker_loop() {
   }
 }
 
+namespace {
+
+/// One parallel_for call's shared state. The caller and its queued helper
+/// tasks each hold a reference, so a helper that dequeues after the call
+/// returned still finds a live (exhausted) counter.
+class ForkJoin {
+ public:
+  ForkJoin(std::size_t n, const std::function<void(std::size_t)>& fn)
+      : n_(n), fn_(&fn) {}
+
+  /// Claims and runs indices until none is left. \p fn is touched only
+  /// for a claimed index, and the caller returns only after every claimed
+  /// index finished, so a late helper never dereferences a dead \p fn.
+  void drain() {
+    std::size_t ran = 0;
+    for (std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+         i < n_; i = next_.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        (*fn_)(i);
+      } catch (...) {
+        std::lock_guard lock(mutex_);
+        if (i < error_index_) {
+          error_index_ = i;
+          error_ = std::current_exception();
+        }
+      }
+      ++ran;
+    }
+    if (ran > 0 &&
+        done_.fetch_add(ran, std::memory_order_acq_rel) + ran == n_) {
+      std::lock_guard lock(mutex_);
+      finished_.notify_all();
+    }
+  }
+
+  /// Blocks until every index ran, then rethrows the lowest-index error.
+  void join() {
+    std::unique_lock lock(mutex_);
+    finished_.wait(lock, [this] {
+      return done_.load(std::memory_order_acquire) == n_;
+    });
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  const std::size_t n_;
+  const std::function<void(std::size_t)>* fn_;
+  std::atomic<std::size_t> next_{0};
+  std::atomic<std::size_t> done_{0};
+  std::mutex mutex_;
+  std::condition_variable finished_;
+  std::size_t error_index_ = std::numeric_limits<std::size_t>::max();
+  std::exception_ptr error_;
+};
+
+}  // namespace
+
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(submit([&fn, i] { fn(i); }));
+  if (n == 0) return;
+  const auto job = std::make_shared<ForkJoin>(n, fn);
+  const std::size_t helpers = std::min(n - 1, workers_.size());
+  if (helpers > 0) {
+    {
+      std::lock_guard lock(mutex_);
+      for (std::size_t h = 0; h < helpers; ++h) {
+        queue_.push(wrap([job] { job->drain(); }));
+      }
+    }
+    if (helpers == workers_.size()) {
+      cv_.notify_all();
+    } else {
+      for (std::size_t h = 0; h < helpers; ++h) cv_.notify_one();
+    }
   }
-  for (auto& f : futures) f.get();
+  job->drain();
+  job->join();
 }
 
 }  // namespace kertbn

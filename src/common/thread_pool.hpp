@@ -2,9 +2,13 @@
 /// \file thread_pool.hpp
 /// Minimal task-based thread pool (C++ Core Guidelines CP.4: think in tasks).
 ///
-/// Used by the decentralized learning fabric to actually run per-service CPD
-/// computations concurrently, and by the benchmark harness to parallelize
-/// independent experiment repetitions.
+/// Two ways in. `submit` / `try_submit` queue one task and hand back its
+/// future: the query engine's striped batches (kert/query_engine), the
+/// KERT builder's staged CPD fits (kert/kert_builder) and the decentralized
+/// learning fabric's per-agent fits (decentral/) use them. `parallel_for`
+/// is a fork-join in which the calling thread runs indices too: the
+/// fleet's per-tick shard fan-out (fleet/fleet), per-node parameter fits
+/// (bn/learning) and K2 restarts (bn/structure_learning) use it.
 
 #include <condition_variable>
 #include <cstddef>
@@ -61,17 +65,7 @@ class ThreadPool {
     std::future<R> result = task->get_future();
     {
       std::lock_guard lock(mutex_);
-#ifdef KERTBN_OBS_DISABLED
-      queue_.emplace([task] { (*task)(); });
-#else
-      queue_.emplace([task, ctx = obs::current_context(),
-                      enqueue_ns = pool_obs::on_enqueue()] {
-        const std::uint64_t run_start = pool_obs::on_dequeue(enqueue_ns);
-        obs::ContextGuard guard(ctx);
-        (*task)();
-        pool_obs::on_complete(run_start);
-      });
-#endif
+      queue_.push(wrap([task] { (*task)(); }));
     }
     cv_.notify_one();
     return result;
@@ -94,17 +88,7 @@ class ThreadPool {
         pool_obs::on_reject();
         return std::nullopt;
       }
-#ifdef KERTBN_OBS_DISABLED
-      queue_.emplace([task] { (*task)(); });
-#else
-      queue_.emplace([task, ctx = obs::current_context(),
-                      enqueue_ns = pool_obs::on_enqueue()] {
-        const std::uint64_t run_start = pool_obs::on_dequeue(enqueue_ns);
-        obs::ContextGuard guard(ctx);
-        (*task)();
-        pool_obs::on_complete(run_start);
-      });
-#endif
+      queue_.push(wrap([task] { (*task)(); }));
     }
     cv_.notify_one();
     return result;
@@ -121,10 +105,34 @@ class ThreadPool {
     return queue_.size();
   }
 
-  /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
+  /// Runs fn(i) for every i in [0, n) and returns once all have finished.
+  /// The calling thread takes part: it queues min(n - 1, size()) helper
+  /// tasks, and it and the helpers claim indices from one shared counter,
+  /// so the call completes even when every worker is busy (or is the
+  /// caller itself: nesting is safe). Every index runs even when some
+  /// throw; the exception of the lowest throwing index is then rethrown.
+  /// A helper that wakes after the indices ran out returns without
+  /// touching \p fn, so \p fn need only outlive the call.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
+  /// Queue entry for \p task. The enqueuing thread's span context travels
+  /// with it, and the pool_obs hooks bracket it. Call with mutex_ held.
+  template <typename F>
+  std::function<void()> wrap(F&& task) {
+#ifdef KERTBN_OBS_DISABLED
+    return std::function<void()>(std::forward<F>(task));
+#else
+    return [task = std::forward<F>(task), ctx = obs::current_context(),
+            enqueue_ns = pool_obs::on_enqueue()]() mutable {
+      const std::uint64_t run_start = pool_obs::on_dequeue(enqueue_ns);
+      obs::ContextGuard guard(ctx);
+      task();
+      pool_obs::on_complete(run_start);
+    };
+#endif
+  }
+
   void worker_loop();
 
   std::vector<std::thread> workers_;

@@ -109,10 +109,14 @@ Fleet::Fleet(Config config)
     resync_strike_baselines(slots_[id]);
     shard.members.push_back(id);
   }
-  if (config_.parallel && config_.shards > 1) {
+  for (const auto& shard : shards_) collect_candidates(*shard, 0);
+  if (config_.parallel) {
+    // The ticking thread runs a shard too, so the pool needs one worker
+    // fewer than the tick's width.
     const std::size_t hw = std::max<std::size_t>(
         1, static_cast<std::size_t>(std::thread::hardware_concurrency()));
-    pool_ = std::make_unique<ThreadPool>(std::min(config_.shards, hw));
+    const std::size_t helpers = std::min(config_.shards, hw) - 1;
+    if (helpers > 0) pool_ = std::make_unique<ThreadPool>(helpers);
   }
 }
 
@@ -157,20 +161,12 @@ void Fleet::run_tick() {
   // Serial section: keyed-registry mutation and global scheduling both
   // happen before any shard work starts.
   sync_injection_contexts(tick);
+  const std::vector<std::uint64_t> grants =
+      scheduler_.select(rebuild_candidates());
 
-  std::vector<RebuildCandidate> candidates;
-  for (const Slot& slot : slots_) {
-    if (slot.ladder.condition == TenantCondition::kQuarantined) continue;
-    const Tenant& t = *slot.tenant;
-    if (!t.due(tick)) continue;
-    candidates.push_back({t.id(), t.staleness_ticks(tick), t.health(),
-                          slot.ladder.condition == TenantCondition::kProbation});
-  }
-  const std::vector<std::uint64_t> grants = scheduler_.select(candidates);
-
-  // Bulkhead section: shards share no mutable state, so one pool task per
-  // shard is bit-identical to the serial loop. parallel_for's join is the
-  // inter-tick happens-before edge.
+  // Bulkhead section: shards share no mutable state, so running them
+  // concurrently is bit-identical to the serial loop. parallel_for's join
+  // is the inter-tick happens-before edge.
   if (pool_ != nullptr) {
     pool_->parallel_for(shards_.size(), [&](std::size_t s) {
       run_shard_tick(*shards_[s], tick, grants);
@@ -183,6 +179,30 @@ void Fleet::run_tick() {
 
 void Fleet::run_ticks(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) run_tick();
+}
+
+std::vector<RebuildCandidate> Fleet::rebuild_candidates() const {
+  std::vector<RebuildCandidate> out;
+  for (const auto& shard : shards_) {
+    out.insert(out.end(), shard->candidates.begin(), shard->candidates.end());
+  }
+  return out;
+}
+
+void Fleet::collect_candidates(Shard& shard, std::uint64_t tick) {
+  // Between a shard's tick and the next tick's selection nothing changes a
+  // member (crash restarts happen inside process_tenant, and the injection
+  // contexts do not touch tenants), so this read equals a scan at select.
+  shard.candidates.clear();
+  for (const std::uint64_t id : shard.members) {
+    const Slot& slot = slots_[id];
+    if (slot.ladder.condition == TenantCondition::kQuarantined) continue;
+    const Tenant& t = *slot.tenant;
+    if (!t.due(tick)) continue;
+    shard.candidates.push_back(
+        {id, t.staleness_ticks(tick), t.health(),
+         slot.ladder.condition == TenantCondition::kProbation});
+  }
 }
 
 void Fleet::run_shard_tick(Shard& shard, std::uint64_t tick,
@@ -214,6 +234,7 @@ void Fleet::run_shard_tick(Shard& shard, std::uint64_t tick,
         std::binary_search(grants.begin(), grants.end(), id);
     process_tenant(shard, slots_[id], tick, granted);
   }
+  collect_candidates(shard, tick + 1);
 }
 
 void Fleet::process_tenant(Shard& shard, Slot& slot, std::uint64_t tick,

@@ -9,16 +9,17 @@
 /// budget), cancellation source (in-flight rebuild aborts at emergency
 /// level), and stall accounting — so overload or faults inside one shard
 /// cannot consume another shard's resources. Shards share no mutable
-/// state; with `parallel` they run as one thread-pool task per tick each,
-/// and the result is bit-identical to the serial order because every
-/// tenant's evolution is a pure function of (fleet seed, tenant id, tick,
-/// fault plan).
+/// state; with `parallel` each tick is one ThreadPool::parallel_for over
+/// the shards (the ticking thread runs a shard itself), and the result is
+/// bit-identical to the serial order because every tenant's evolution is
+/// a pure function of (fleet seed, tenant id, tick, fault plan).
 ///
 /// Per tick the fleet (serially) realizes the fault plan's keyed
 /// injection contexts and asks the ReconstructionScheduler which due
 /// tenants win a rebuild slot under the global budget, then (in parallel)
 /// each shard ingests its tenants' workload intervals, runs granted
-/// rebuilds, and advances each tenant's health ladder:
+/// rebuilds, advances each tenant's health ladder, and collects its
+/// members' rebuild candidates for the next tick:
 ///
 ///   healthy ──strikes──▶ quarantined ──cooldown──▶ probation ──clean──▶
 ///   healthy (a strike during probation re-quarantines)
@@ -82,8 +83,9 @@ class Fleet {
     std::size_t max_pending = 4;
     /// Attach a per-tenant ModelQualityMonitor.
     bool quality = false;
-    /// One thread-pool task per shard per tick (false = serial, same
-    /// result).
+    /// Run the shards of a tick concurrently, on the ticking thread plus
+    /// min(shards, hardware threads) - 1 pool workers (false = serial,
+    /// same result).
     bool parallel = true;
     ReconstructionScheduler::Config scheduler{};
     LadderConfig ladder{};
@@ -134,6 +136,12 @@ class Fleet {
   }
   const ReconstructionScheduler& scheduler() const { return scheduler_; }
 
+  /// The candidates the next run_tick hands the scheduler: every
+  /// non-quarantined tenant due at ticks(), shard by shard, each shard's
+  /// in ascending id order. The shards collect them at the end of their
+  /// tick's work (the constructor for tick 0).
+  std::vector<RebuildCandidate> rebuild_candidates() const;
+
   /// Rollup snapshot (see status.hpp).
   FleetStatus status() const;
   /// status() mirrored into the kert.fleet.* gauges.
@@ -175,6 +183,8 @@ class Fleet {
     ov::PressureGovernor governor;
     ov::CancellationSource cancel;
     std::vector<std::uint64_t> members;  ///< Tenant ids, ascending.
+    /// Members' rebuild candidates for the next tick.
+    std::vector<RebuildCandidate> candidates;
     std::uint64_t rebuilds = 0;
     std::uint64_t crash_recoveries = 0;
     std::uint64_t restarts = 0;
@@ -184,6 +194,7 @@ class Fleet {
                       const std::vector<std::uint64_t>& grants);
   void process_tenant(Shard& shard, Slot& slot, std::uint64_t tick,
                       bool granted);
+  void collect_candidates(Shard& shard, std::uint64_t tick);
   void sync_injection_contexts(std::uint64_t tick);
   void quarantine(Slot& slot);
   void resync_strike_baselines(Slot& slot);

@@ -23,24 +23,34 @@ double ReconstructionScheduler::priority(
 
 std::vector<std::uint64_t> ReconstructionScheduler::select(
     const std::vector<RebuildCandidate>& candidates) {
-  std::vector<std::size_t> order(candidates.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const double pa = priority(candidates[a]);
-    const double pb = priority(candidates[b]);
-    if (pa != pb) return pa > pb;
-    return candidates[a].tenant < candidates[b].tenant;
-  });
+  struct Ranked {
+    double priority;
+    std::uint64_t tenant;
+  };
+  std::vector<Ranked> ranked;
+  ranked.reserve(candidates.size());
+  for (const RebuildCandidate& c : candidates) {
+    ranked.push_back({priority(c), c.tenant});
+  }
 
+  // Only the winners' set matters (grants are returned in id order), so a
+  // partition on (priority desc, id asc) replaces a full sort.
   const std::size_t slots =
-      std::min(config_.max_rebuilds_per_tick, order.size());
+      std::min(config_.max_rebuilds_per_tick, ranked.size());
+  if (slots < ranked.size()) {
+    std::nth_element(ranked.begin(), ranked.begin() + slots, ranked.end(),
+                     [](const Ranked& a, const Ranked& b) {
+                       if (a.priority != b.priority) {
+                         return a.priority > b.priority;
+                       }
+                       return a.tenant < b.tenant;
+                     });
+  }
   std::vector<std::uint64_t> grants;
   grants.reserve(slots);
-  for (std::size_t i = 0; i < slots; ++i) {
-    grants.push_back(candidates[order[i]].tenant);
-  }
+  for (std::size_t i = 0; i < slots; ++i) grants.push_back(ranked[i].tenant);
   granted_ += slots;
-  deferred_ += order.size() - slots;
+  deferred_ += ranked.size() - slots;
   std::sort(grants.begin(), grants.end());
   return grants;
 }

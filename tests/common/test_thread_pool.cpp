@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
+#include <latch>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -34,6 +38,79 @@ TEST(ThreadPool, ParallelForCoversAllIndices) {
   std::vector<std::atomic<int>> hits(64);
   pool.parallel_for(64, [&hits](std::size_t i) { ++hits[i]; });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForRunsEveryIndexExactlyOnce) {
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    for (const std::size_t n : {0u, 1u, 2u, 5u, 64u}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads, n=" +
+                   std::to_string(n));
+      std::vector<std::atomic<int>> hits(n);
+      pool.parallel_for(n, [&hits](std::size_t i) { ++hits[i]; });
+      for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+    }
+  }
+}
+
+TEST(ThreadPool, ParallelForCompletesOnTheCallerWhileWorkersAreBlocked) {
+  ThreadPool pool(2);
+  std::latch started(2);
+  std::latch release(1);
+  std::vector<std::future<void>> blockers;
+  for (int w = 0; w < 2; ++w) {
+    blockers.push_back(pool.submit([&started, &release] {
+      started.count_down();
+      release.wait();
+    }));
+  }
+  started.wait();
+
+  // Both workers are wedged: the caller must run every index itself.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(16);
+  pool.parallel_for(16, [&ran_on](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  });
+  for (const std::thread::id id : ran_on) EXPECT_EQ(id, caller);
+
+  release.count_down();
+  for (auto& b : blockers) b.get();
+}
+
+TEST(ThreadPool, NestedParallelForOnOneThreadCompletes) {
+  ThreadPool pool(1);
+  std::vector<std::atomic<int>> hits(4 * 8);
+  pool.parallel_for(4, [&](std::size_t i) {
+    pool.parallel_for(8, [&hits, i](std::size_t j) { ++hits[i * 8 + j]; });
+  });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForRethrowsAfterEveryIndexRan) {
+  ThreadPool pool(3);
+  constexpr std::size_t kN = 64;
+  // Owned by this scope: a task still running after parallel_for threw
+  // would touch them after they are gone (ASAN reports it).
+  auto hits = std::make_unique<std::vector<std::atomic<int>>>(kN);
+  try {
+    pool.parallel_for(kN, [&hits](std::size_t i) {
+      // Indices past the first failure are slow, so a join that returned
+      // at the first exception would leave them unrun.
+      if (i > 5) std::this_thread::sleep_for(std::chrono::microseconds(300));
+      ++(*hits)[i];
+      if (i == 40 || i == 5 || i == 63) {
+        throw std::runtime_error("index " + std::to_string(i));
+      }
+    });
+    ADD_FAILURE() << "parallel_for swallowed the exceptions";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "index 5");
+  }
+  for (auto& h : *hits) EXPECT_EQ(h.load(), 1);
+  hits.reset();
+  // The pool still serves work afterwards.
+  EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
 }
 
 TEST(ThreadPool, ExceptionsPropagateThroughFutures) {

@@ -1,15 +1,18 @@
 /// \file test_fleet.cpp
 /// Fleet-layer unit and integration coverage: workload determinism, the
 /// reconstruction scheduler's priority policy, fleet convergence and
-/// rerun/parallel determinism, shard-stall bulkheading, the quarantine
-/// ladder lifecycle, and the status/metrics surface.
+/// rerun/parallel determinism, the shard-collected rebuild candidates,
+/// shard-stall bulkheading, the quarantine ladder lifecycle, and the
+/// status/metrics surface.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "fleet/fleet.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
@@ -119,6 +122,50 @@ TEST(ReconstructionScheduler, ProbationBoostsAndIdBreaksTies) {
   EXPECT_EQ(tie.select(equal), (std::vector<std::uint64_t>{3}));
 }
 
+// Randomized against the plain definition: rank every candidate by
+// (priority desc, tenant id asc) with a full sort, grant the first
+// `budget`, count the rest as deferred. Small staleness ranges force ties
+// that only the id breaks; health and probation draw the boosts.
+TEST(ReconstructionScheduler, SelectionMatchesAFullSort) {
+  Rng rng(20261019);
+  std::uint64_t want_granted = 0;
+  std::uint64_t want_deferred = 0;
+  ReconstructionScheduler::Config cfg;
+  cfg.max_rebuilds_per_tick = 7;
+  ReconstructionScheduler sched(cfg);
+  for (int round = 0; round < 300; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const std::size_t n = rng.uniform_index(41);
+    std::vector<std::size_t> ids = rng.permutation(3 * n + 1);
+    std::vector<RebuildCandidate> candidates;
+    for (std::size_t i = 0; i < n; ++i) {
+      candidates.push_back(
+          {ids[i], rng.uniform_index(4),
+           static_cast<core::ModelHealth>(rng.uniform_index(5)),
+           rng.uniform_index(3) == 0});
+    }
+
+    std::vector<RebuildCandidate> ranked = candidates;
+    std::sort(ranked.begin(), ranked.end(),
+              [&](const RebuildCandidate& a, const RebuildCandidate& b) {
+                const double pa = sched.priority(a);
+                const double pb = sched.priority(b);
+                if (pa != pb) return pa > pb;
+                return a.tenant < b.tenant;
+              });
+    const std::size_t slots = std::min(cfg.max_rebuilds_per_tick, n);
+    std::vector<std::uint64_t> want;
+    for (std::size_t i = 0; i < slots; ++i) want.push_back(ranked[i].tenant);
+    std::sort(want.begin(), want.end());
+    want_granted += slots;
+    want_deferred += n - slots;
+
+    EXPECT_EQ(sched.select(candidates), want);
+    EXPECT_EQ(sched.granted(), want_granted);
+    EXPECT_EQ(sched.deferred(), want_deferred);
+  }
+}
+
 // --- fleet integration ------------------------------------------------
 
 Fleet::Config small_fleet_config() {
@@ -173,6 +220,67 @@ TEST(Fleet, TightRebuildBudgetDefersButStillConvergesAll) {
   const fleet::FleetStatus st = fleet.status();
   EXPECT_GT(st.scheduler_deferred, 0u);
   EXPECT_EQ(st.health_fresh + st.health_stale, 8u);
+}
+
+// The shards collect next tick's rebuild candidates at the end of their
+// own work. Before every tick they must equal a fresh scan through the
+// public accessors, across poison (quarantine, probation), crash restarts
+// and a shard stall (governor deferrals, cancelled rebuilds).
+TEST(Fleet, CollectedCandidatesMatchAFullScan) {
+  fault::FleetFaultPlan plan;
+  plan.seed = 23;
+  for (std::uint64_t t = 0; t < 4; ++t) {
+    plan.poisons.push_back({t * 13 + 2, {10 + t, 18 + t}, 1.0});
+    plan.crashes.push_back({t * 11 + 7, /*at_tick=*/25 + 9 * t});
+  }
+  plan.stalls.push_back({/*shard=*/1, {60, 75}, /*severity=*/3.0});
+
+  Fleet::Config cfg;
+  cfg.tenants = 64;
+  cfg.shards = 4;
+  cfg.seed = 31;
+  cfg.schedule.alpha_model = 6;
+  cfg.scheduler.max_rebuilds_per_tick = 8;
+  cfg.faults = &plan;
+  Fleet fleet(cfg);
+
+  const auto by_id = [](const RebuildCandidate& a, const RebuildCandidate& b) {
+    return a.tenant < b.tenant;
+  };
+  bool saw_quarantined = false;
+  bool saw_probation = false;
+  for (int i = 0; i < 120; ++i) {
+    const std::uint64_t tick = fleet.ticks();
+    SCOPED_TRACE("tick " + std::to_string(tick));
+    std::vector<RebuildCandidate> scan;
+    for (std::uint64_t id = 0; id < cfg.tenants; ++id) {
+      const TenantCondition c = fleet.condition(id);
+      if (c == TenantCondition::kQuarantined) {
+        saw_quarantined = true;
+        continue;
+      }
+      const fleet::Tenant& t = fleet.tenant(id);
+      if (!t.due(tick)) continue;
+      saw_probation |= c == TenantCondition::kProbation;
+      scan.push_back({id, t.staleness_ticks(tick), t.health(),
+                      c == TenantCondition::kProbation});
+    }
+    std::vector<RebuildCandidate> collected = fleet.rebuild_candidates();
+    std::sort(collected.begin(), collected.end(), by_id);
+    ASSERT_EQ(collected.size(), scan.size());
+    for (std::size_t k = 0; k < scan.size(); ++k) {
+      EXPECT_EQ(collected[k].tenant, scan[k].tenant);
+      EXPECT_EQ(collected[k].staleness_ticks, scan[k].staleness_ticks);
+      EXPECT_EQ(collected[k].health, scan[k].health);
+      EXPECT_EQ(collected[k].probation, scan[k].probation);
+    }
+    fleet.run_tick();
+  }
+  const fleet::FleetStatus st = fleet.status();
+  EXPECT_TRUE(saw_quarantined);
+  EXPECT_TRUE(saw_probation);
+  EXPECT_EQ(st.crash_recoveries, plan.crashes.size());
+  EXPECT_GT(st.scheduler_deferred, 0u);
 }
 
 TEST(Fleet, ShardStallIsBulkheaded) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <future>
 #include <set>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "obs_test_util.hpp"
@@ -189,7 +191,9 @@ TEST(Span, PoolQueueMetricsBalance) {
   const MetricsSnapshot before = MetricsRegistry::instance().snapshot();
   {
     ThreadPool pool(2);
-    pool.parallel_for(64, [](std::size_t) {});
+    std::vector<std::future<void>> futures;
+    for (int i = 0; i < 64; ++i) futures.push_back(pool.submit([] {}));
+    for (auto& f : futures) f.get();
   }
   const MetricsSnapshot after = MetricsRegistry::instance().snapshot();
   const MetricsSnapshot delta = after.delta_since(before);
@@ -203,6 +207,30 @@ TEST(Span, PoolQueueMetricsBalance) {
   ASSERT_NE(run, nullptr);
   EXPECT_GE(wait->count, 64u);
   EXPECT_GE(run->count, 64u);
+}
+
+// parallel_for queues min(n - 1, size()) helper tasks through the same
+// hooks. Helpers that wake after the caller already ran every index still
+// dequeue (the pool's destructor drains them), so the books balance too.
+TEST(Span, ParallelForQueueMetricsBalance) {
+  const MetricsSnapshot before = MetricsRegistry::instance().snapshot();
+  {
+    ThreadPool pool(2);
+    for (int round = 0; round < 8; ++round) {
+      pool.parallel_for(64, [](std::size_t) {});
+    }
+  }
+  const MetricsSnapshot after = MetricsRegistry::instance().snapshot();
+  const MetricsSnapshot delta = after.delta_since(before);
+  EXPECT_GE(delta.counter("pool.tasks"), 8u * 2u);
+  EXPECT_DOUBLE_EQ(*after.gauge("pool.queue_depth"),
+                   before.gauge("pool.queue_depth").value_or(0.0));
+  const HistogramStats* wait = delta.histogram("pool.task_wait_ns");
+  const HistogramStats* run = delta.histogram("pool.task_run_ns");
+  ASSERT_NE(wait, nullptr);
+  ASSERT_NE(run, nullptr);
+  EXPECT_GE(wait->count, 8u * 2u);
+  EXPECT_EQ(wait->count, run->count);
 }
 
 #endif  // KERTBN_OBS_DISABLED
